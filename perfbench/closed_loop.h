@@ -7,7 +7,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <deque>
 
@@ -53,19 +52,5 @@ class ClosedLoopWindow {
   int64_t received_ = 0;
   std::deque<double> send_times_;
 };
-
-/// Epochs for an in-process consumer's next stream: enough to finish near
-/// `deadline` at its measured `epoch_seconds`, but at most the `epochs_done`
-/// so far, so an early estimate flattered by batches buffered during set-up
-/// cannot commit the consumer far past the deadline. 0 (stop) once less than
-/// half an epoch remains. Streams have a fixed epoch count so the oracle can
-/// check that each record came exactly once per epoch.
-inline int NextStreamEpochs(double now, double deadline, double epoch_seconds,
-                            int epochs_done) {
-  const double remaining = deadline - now;
-  if (epoch_seconds <= 0 || remaining < 0.5 * epoch_seconds) return 0;
-  const int fit = static_cast<int>(std::lround(remaining / epoch_seconds));
-  return std::max(1, std::min(fit, epochs_done));
-}
 
 }  // namespace perfbench

@@ -10,7 +10,6 @@
 // With --trace 0 the metrics are the end-to-end set; with --trace 1 the
 // per-layer set, from a separate traced run (client spans plus a serial
 // replay of the per-record path; see replay.h).
-#include <malloc.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -66,6 +65,7 @@ const std::vector<MetricSpec> kPerLayer = {
     {"jpeg.decode_us_per_image.g1", "us"},
     {"jpeg.decode_busy_share", "ratio"},
     {"jpeg.decode_share_of_busy", "ratio"},
+    {"jpeg.client_decode_cpu_share", "ratio"},
     {"loader.io_stall_share", "ratio"},
     {"loader.decode_stall_share", "ratio"},
     {"loader.io_share_of_stalls", "ratio"},
@@ -92,7 +92,19 @@ const std::vector<MetricSpec> kPerLayer = {
     {"serve.client_images_per_s.full", "img/s"},
     {"serve.client_images_per_s.g5", "img/s"},
     {"serve.client_images_per_s.g1", "img/s"},
-    {"serve.client_images_per_s.jpeg", "img/s"},
+    {"serve.client_images_per_s.full2", "img/s"},
+    {"window.images_per_s", "img/s"},
+    {"window.cpu_ms_per_image", "ms/img"},
+    {"serve.storage_read_share.full", "ratio"},
+    {"serve.storage_read_share.g5", "ratio"},
+    {"serve.storage_read_share.g1", "ratio"},
+    {"serve.storage_read_share.full2", "ratio"},
+    {"replay.prefix_hit_rate", "ratio"},
+    {"replay.fetch_p50_ms", "ms"},
+    {"replay.fetch_p99_ms", "ms"},
+    {"process.rss_high_water_mib", "MiB"},
+    {"process.peak_rss_max_mib", "MiB"},
+    {"serve.fairness", "ratio"},
 };
 
 /// Numbers from Debug or sanitizer builds are not comparable with anything.
@@ -178,26 +190,13 @@ double Get(const RunReport& report, const char* name) {
   return it == report.metrics.end() ? 0.0 : it->second;
 }
 
-/// glibc raises its mmap threshold to the size of each large mmapped block
-/// the process frees (and its trim threshold to twice that), up to 32 MiB
-/// and 64 MiB. The daemon's socket-plane replies are 12 MiB, and when, if
-/// ever, a run reaches which threshold depends on thread timing: runs split
-/// into a mode that page-faults every reply afresh and one about twice as
-/// fast. Starting every run at the ceiling of that adjustment makes runs
-/// comparable; the faults that remain show in process.minor_faults_per_image.
-void PinMallocThresholds() {
-#if defined(__GLIBC__)
-  mallopt(M_MMAP_THRESHOLD, 32 << 20);
-  mallopt(M_TRIM_THRESHOLD, 64 << 20);
-#endif
-}
-
 int Main(int argc, char** argv) {
-  PinMallocThresholds();
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,
-                 "usage: %s --workload <local_full|remote_full|serve_mixed> "
+                 "usage: %s --workload "
+                 "<local_full|remote_full|serve_compressed|serve_mixed|"
+                 "serve_warm> "
                  "--seed <n> --seconds <s> --trace <0|1> "
                  "[--work-dir <dir>]\n",
                  argv[0]);
@@ -259,11 +258,17 @@ int Main(int argc, char** argv) {
     }
   }
   Fixture fixture;
+  fixture.name = spec.name;
   fixture.pcr_dir = built->pcr_dir;
   fixture.num_records = (*dataset)->num_records();
   fixture.num_images = (*dataset)->num_images();
   fixture.num_scan_groups = (*dataset)->num_scan_groups();
   fixture.oracle = &*oracle;
+  for (int r = 0; r < fixture.num_records; ++r) {
+    for (int g = 1; g <= fixture.num_scan_groups; ++g) {
+      fixture.read_bytes.push_back((*dataset)->RecordReadBytes(r, g));
+    }
+  }
   dataset->reset();
 
   RunOptions options;

@@ -15,8 +15,8 @@
 // wrong record, a wrong fidelity or a stale shm slot changes most sampled
 // bytes — and one batch in `full_check_every` (chosen from the stream seed)
 // also has every pixel hashed. Compressed payloads are always hashed whole.
-// Each bad batch counts as one failure; batches a stream owed but never
-// delivered count one each at Finish().
+// Each bad batch counts as one failure; records a stream never delivered
+// count one each at Finish().
 #pragma once
 
 #include <cstdint>
@@ -116,22 +116,26 @@ struct Delivery {
   std::vector<pcr::Slice> jpegs;       // Compressed streams.
 };
 
-/// Checks the deliveries of one stream of `epochs` epochs at `scan_group`.
+/// Checks the deliveries of one one-epoch stream at `scan_group`. Every
+/// stream the benchmark runs is one epoch long, so exactly-once delivery is
+/// exact: a record's second delivery is a failure, and so is each record the
+/// stream never delivered.
 class StreamChecker {
  public:
   StreamChecker(const Oracle* oracle, int scan_group, bool decoded,
-                int epochs, int full_check_every, uint64_t seed);
+                int full_check_every, uint64_t seed);
 
   /// Checks one batch; false (and one more failure) when it violates the
   /// oracle.
   bool Check(const Delivery& batch);
 
-  /// Ends the stream: each batch it owed (epochs x records) but did not
-  /// deliver is one failure. Returns those.
+  /// Ends the stream: each record it did not deliver is one failure.
+  /// Returns those.
   int64_t Finish();
 
   int64_t delivered() const { return delivered_; }
   int64_t failures() const { return failures_; }
+  /// Batches checked in full: every pixel hashed, or every JPEG byte.
   int64_t full_checks() const { return full_checks_; }
   /// The first violation, for the report ("" when none).
   const std::string& first_error() const { return first_error_; }
@@ -144,11 +148,11 @@ class StreamChecker {
   const Oracle* oracle_;
   int scan_group_;
   bool decoded_;
-  int epochs_;
   int full_check_every_;
   uint64_t seed_;
-  std::vector<int> counts_;
+  std::vector<bool> seen_;
   int64_t delivered_ = 0;
+  int64_t distinct_ = 0;
   int64_t failures_ = 0;
   int64_t full_checks_ = 0;
   bool finished_ = false;

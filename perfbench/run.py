@@ -20,7 +20,8 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("local_full", "remote_full", "serve_mixed")
+WORKLOADS = ("local_full", "remote_full", "serve_compressed", "serve_mixed",
+             "serve_warm")
 
 
 def run(cmd, timeout, **kwargs):
@@ -61,7 +62,7 @@ def main():
     build(build_dir)
 
     selftest = run([os.path.join(build_dir, "pcr_perfbench_selftest"),
-                    work_dir], 120, stdout=sys.stderr)
+                    work_dir], 30, stdout=sys.stderr)
     if selftest.returncode != 0:
         sys.exit("perfbench: self-tests failed")
 
@@ -70,8 +71,7 @@ def main():
                  "--workload", args.workload, "--seed", str(args.seed),
                  "--seconds", str(args.seconds), "--trace", str(args.trace),
                  "--work-dir", os.path.relpath(work_dir, ROOT)],
-                600, cwd=ROOT, stdout=subprocess.PIPE,
-                text=True)
+                150, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     lines = bench.stdout.splitlines()
     if bench.returncode != 0 or not lines:
         sys.stderr.write(bench.stdout)

@@ -5,10 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <atomic>
 #include <memory>
 #include <thread>
 
+#include "bench_common.h"
 #include "closed_loop.h"
 #include "core/pcr_dataset.h"
 #include "jpeg/codec.h"
@@ -30,16 +32,34 @@ namespace {
 
 /// Outstanding NextBatch requests per daemon client (double buffering).
 constexpr int kClientWindow = 2;
-/// Set-up repetitions per run; setup_s is their median.
-constexpr int kSetupRepeats = 5;
-/// Throughput and CPU per image are medians over about this many windows of
-/// the measured phase.
+/// A run repeats its set-up at least kMinSetUps times, and more (up to
+/// kMaxSetUps) until the set-ups have taken kSetUpSeconds; setup_s is their
+/// median. Set-ups of a few milliseconds need the extra repetitions to give
+/// a steady median.
+constexpr int kMinSetUps = 5;
+constexpr int kMaxSetUps = 50;
+constexpr double kSetUpSeconds = 1.0;
+/// The steady-state (window.*) figures are medians over about this many
+/// windows of the measured phase.
 constexpr int kRateWindows = 20;
+/// peak_rss_mib is the median of the largest resident set size in each
+/// span of this many seconds of the measured phase.
+constexpr double kRssWindowSeconds = 1.0;
+/// The fixture's decoded bytes per epoch at full fidelity: 1024 images of
+/// 256x256x3.
+constexpr uint64_t kDecodedEpochBytes = 1024ull * 256 * 256 * 3;
 /// One batch in this many gets every pixel hashed; every batch gets the
 /// per-page samples.
 constexpr int kFullCheckEvery = 4;
 
 double NowSeconds() { return NowNanos() * 1e-9; }
+
+bool MoreSetUps(const std::vector<double>& done) {
+  const int n = static_cast<int>(done.size());
+  double total = 0;
+  for (const double s : done) total += s;
+  return n < kMinSetUps || (n < kMaxSetUps && total < kSetUpSeconds);
+}
 
 rusage ProcessUsage() {
   rusage usage{};
@@ -54,10 +74,23 @@ double ProcessCpuSeconds() {
   return Seconds(usage.ru_utime) + Seconds(usage.ru_stime);
 }
 
-double PeakRssMib() {
+/// The process's high-water resident set, set-up included, in MiB.
+double HighWaterRssMib() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return usage.ru_maxrss / 1024.0;  // ru_maxrss is in KiB on Linux.
+}
+
+/// Resident set size now, in MiB (/proc/self/statm).
+double ResidentMib() {
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long long size = 0, resident = 0;
+  const int n = std::fscanf(f, "%llu %llu", &size, &resident);
+  std::fclose(f);
+  return n == 2 ? resident * static_cast<double>(sysconf(_SC_PAGESIZE)) /
+                      (1 << 20)
+                : 0;
 }
 
 int CountThreads() {
@@ -71,14 +104,15 @@ int CountThreads() {
   return threads;
 }
 
-/// Samples process CPU time every 10 ms while alive, so CPU can be charged
-/// to any stretch of the run, and keeps the resource usage at both ends.
-class CpuMeter {
+/// Samples process CPU time and resident set every 10 ms while alive, so CPU
+/// can be charged to any stretch of the run, and keeps the resource usage at
+/// both ends.
+class ProcessMeter {
  public:
-  CpuMeter() : first_(ProcessUsage()), thread_([this] { Loop(); }) {}
-  ~CpuMeter() { Stop(); }
-  CpuMeter(const CpuMeter&) = delete;
-  CpuMeter& operator=(const CpuMeter&) = delete;
+  ProcessMeter() : first_(ProcessUsage()), thread_([this] { Loop(); }) {}
+  ~ProcessMeter() { Stop(); }
+  ProcessMeter(const ProcessMeter&) = delete;
+  ProcessMeter& operator=(const ProcessMeter&) = delete;
 
   void Stop() {
     stop_.store(true);
@@ -98,6 +132,28 @@ class CpuMeter {
   /// Minor page faults between construction and Stop().
   int64_t MinorFaults() const { return last_.ru_minflt - first_.ru_minflt; }
 
+  /// Largest resident set sampled, in MiB.
+  double PeakRssMib() const {
+    double peak = 0;
+    for (const double rss : rss_mib_) peak = std::max(peak, rss);
+    return peak;
+  }
+
+  /// The median over consecutive `window`-second spans of each span's
+  /// largest resident set sample, in MiB. A 12 MiB decoded record more or
+  /// less in flight at the run's single highest sample moves the maximum by
+  /// a fifth on a 60 MiB process; the typical span's peak does not.
+  double MedianWindowPeakRssMib(double window) const {
+    std::vector<double> peaks;
+    for (size_t i = 0; i < samples_.size(); ++i) {
+      const size_t span = static_cast<size_t>(
+          (samples_[i].first - samples_.front().first) / window);
+      if (span >= peaks.size()) peaks.resize(span + 1, 0.0);
+      peaks[span] = std::max(peaks[span], rss_mib_[i]);
+    }
+    return Median(peaks);
+  }
+
   /// Process CPU seconds at wall time `t`, interpolated between samples.
   /// Call after Stop().
   double CpuAt(double t) const {
@@ -116,6 +172,7 @@ class CpuMeter {
   void Loop() {
     for (;;) {
       samples_.emplace_back(NowSeconds(), ProcessCpuSeconds());
+      rss_mib_.push_back(ResidentMib());
       if (stop_.load()) return;
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
@@ -125,6 +182,7 @@ class CpuMeter {
   rusage last_{};
   std::atomic<bool> stop_{false};
   std::vector<std::pair<double, double>> samples_;  // (wall, cpu) seconds.
+  std::vector<double> rss_mib_;
   std::thread thread_;
 };
 
@@ -161,22 +219,6 @@ uint64_t StreamSeed(uint64_t seed, int client, int stream) {
              static_cast<uint64_t>(stream));
 }
 
-/// The repository's paper-calibrated remote storage (bench_common's
-/// CalibratedStorage): the Ceph pool profile with its bandwidth scaled so
-/// that our bytes per image over bandwidth equal the paper's CelebA-HQ bytes
-/// per image (2 GiB / 24000) over its ~120 MB/s effective bandwidth, and
-/// fixed latencies scaled alike.
-pcr::DeviceProfile CalibratedRemoteStorage(pcr::RecordSource* source) {
-  pcr::DeviceProfile profile = pcr::DeviceProfile::CephCluster();
-  const double ours = source->MeanImageBytes(source->num_scan_groups());
-  const double paper = 2.0 * (1ULL << 30) / 24000.0;
-  const double size_ratio = ours / paper;
-  profile.read_bandwidth_bytes_per_sec = 120.0e6 * size_ratio;
-  profile.seek_latency_sec *= size_ratio;
-  profile.per_op_latency_sec *= size_ratio;
-  return profile;
-}
-
 Delivery FromLoaded(const pcr::LoadedBatch& batch) {
   Delivery d;
   d.record = batch.record_index;
@@ -210,7 +252,11 @@ struct ConsumerRun {
   int64_t images = 0;
   int64_t batches = 0;
   uint64_t bytes_read = 0;
+  /// Storage bytes the delivered batches' records span at their scan
+  /// groups: what they would read with no cache.
+  uint64_t prefix_bytes = 0;
   double wall = 0;  // Measurement start -> last batch consumed.
+  double start = 0, deadline = 0;  // The measured phase.
   std::vector<double> waits;
   std::vector<Completion> completions;  // Measured batches, wall clock.
   int64_t attempted = 0;
@@ -220,7 +266,33 @@ struct ConsumerRun {
   // Traced runs only.
   std::vector<double> send_seconds;
   std::vector<double> receive_cpu_seconds;
+  /// Compressed-plane clients: thread CPU of each image's jpeg::Decode.
+  std::vector<double> decode_cpu_seconds;
   std::vector<pcr::serve::StreamStats> streams;
+  /// Decode-cache misses, and those of them whose record prefix was at
+  /// least partly resident (the batch read less than its prefix bytes).
+  int64_t decode_misses = 0;
+  int64_t resident_misses = 0;
+
+  /// Images in batches consumed by the deadline.
+  double MeasuredImages() const {
+    double images = 0;
+    for (const Completion& c : completions) {
+      if (c.at <= deadline) images += c.images;
+    }
+    return images;
+  }
+  /// When the last batch consumed by the deadline was consumed.
+  double MeasuredEnd() const {
+    double end = start;
+    for (const Completion& c : completions) {
+      if (c.at <= deadline) end = std::max(end, c.at);
+    }
+    return end;
+  }
+  double MeasuredRate() const {
+    return MeasuredImages() / std::max(1e-9, MeasuredEnd() - start);
+  }
 
   void Absorb(StreamChecker& checker) {
     checker.Finish();
@@ -267,37 +339,50 @@ struct PipelineTotals {
 
 double Ratio(double num, double den) { return den > 0 ? num / den : 0.0; }
 
-/// images_per_s: each consumer's median rate over windows of its own
-/// completions (see CompletionWindows), summed over consumers.
-/// cpu_ms_per_image: the median over windows of all consumers' completions
-/// together of process CPU per delivered image.
+/// The measured phase runs from the end of set-up to the last batch any
+/// consumer consumed by the deadline. images_per_s: images delivered in it,
+/// across consumers, over its length. cpu_ms_per_image: process CPU in it
+/// per image delivered in it. Stalls, stream re-opens and pipeline ramps all
+/// count. The window.* figures are the steady-state view: each consumer's
+/// median rate over windows of its own completions (see CompletionWindows),
+/// summed, and the median over windows of all completions of CPU per image.
 void ReportRates(const std::vector<const ConsumerRun*>& runs,
-                 const CpuMeter& cpu, RunReport* report) {
-  double images_per_s = 0;
-  double images = 0;
+                 const ProcessMeter& cpu, RunReport* report) {
+  const double start = runs.front()->start;
+  double end = start;
+  double measured_images = 0;
+  double all_images = 0;
+  double window_rate = 0;
   std::vector<Completion> all;
   for (const ConsumerRun* run : runs) {
-    images += static_cast<double>(run->images);
+    measured_images += run->MeasuredImages();
+    end = std::max(end, run->MeasuredEnd());
+    all_images += static_cast<double>(run->images);
     std::vector<double> rates;
     for (const Window& w : CompletionWindows(run->completions, kRateWindows)) {
       rates.push_back(Ratio(w.images, w.end - w.start));
     }
-    images_per_s += Median(rates);
+    window_rate += Median(rates);
     all.insert(all.end(), run->completions.begin(), run->completions.end());
   }
-  std::vector<double> cpu_per_image;
-  std::vector<double> cores;
+  std::vector<double> window_cpu;
   for (const Window& w : CompletionWindows(std::move(all), kRateWindows)) {
-    const double cpu_seconds = cpu.CpuAt(w.end) - cpu.CpuAt(w.start);
-    cpu_per_image.push_back(Ratio(cpu_seconds, w.images));
-    cores.push_back(Ratio(cpu_seconds, w.end - w.start));
+    window_cpu.push_back(Ratio(cpu.CpuAt(w.end) - cpu.CpuAt(w.start),
+                               w.images));
   }
-  report->metrics["process.cpu_cores"] = Median(cores);
-  report->metrics["process.sys_share"] = cpu.SysShare();
-  report->metrics["process.minor_faults_per_image"] =
-      Ratio(static_cast<double>(cpu.MinorFaults()), images);
-  report->metrics["images_per_s"] = images_per_s;
-  report->metrics["cpu_ms_per_image"] = Median(cpu_per_image) * 1e3;
+  const double seconds = end - start;
+  const double cpu_seconds = cpu.CpuAt(end) - cpu.CpuAt(start);
+  auto& m = report->metrics;
+  m["images_per_s"] = Ratio(measured_images, seconds);
+  m["cpu_ms_per_image"] = Ratio(cpu_seconds, measured_images) * 1e3;
+  m["window.images_per_s"] = window_rate;
+  m["window.cpu_ms_per_image"] = Median(window_cpu) * 1e3;
+  m["process.cpu_cores"] = Ratio(cpu_seconds, seconds);
+  m["process.sys_share"] = cpu.SysShare();
+  m["process.minor_faults_per_image"] =
+      Ratio(static_cast<double>(cpu.MinorFaults()), all_images);
+  m["peak_rss_mib"] = cpu.MedianWindowPeakRssMib(kRssWindowSeconds);
+  m["process.peak_rss_max_mib"] = cpu.PeakRssMib();
 }
 
 // --- In-process workloads ----------------------------------------------------
@@ -320,7 +405,8 @@ pcr::Result<Storage> OpenStorage(const std::string& workload,
     PCR_ASSIGN_OR_RETURN(std::unique_ptr<pcr::PcrDataset> local,
                          pcr::PcrDataset::Open(storage.env, fixture.pcr_dir));
     storage.remote = std::make_unique<pcr::SimEnv>(
-        CalibratedRemoteStorage(local.get()), pcr::RealClock::Get());
+        pcr::bench::CalibratedStorage(local.get(), fixture.name),
+        pcr::RealClock::Get());
     storage.dir = "/remote/pcr";
     PCR_RETURN_IF_ERROR(storage.remote->ImportTree(
         storage.env, fixture.pcr_dir, storage.dir));
@@ -334,7 +420,6 @@ struct InProcessStream {
   std::unique_ptr<pcr::PcrDataset> dataset;       // Reads `storage`.
   std::unique_ptr<pcr::LoaderPipeline> pipeline;  // Reads `dataset`.
   std::unique_ptr<StreamChecker> checker;
-  int epochs = 0;
   double first_wait = 0;  // The set-up's Next() for the first batch.
 
   /// Stops the pipeline before what it reads goes away.
@@ -346,11 +431,19 @@ struct InProcessStream {
   }
 };
 
-pcr::LoaderPipelineOptions PipelineOptions(uint64_t seed, int epochs) {
+/// Starts the consumer's stream number `serial`: a one-epoch pipeline with
+/// default options, and its checker.
+void StartInProcessStream(const Fixture& fixture, uint64_t seed, int serial,
+                          InProcessStream* s) {
   pcr::LoaderPipelineOptions options;
-  options.max_epochs = epochs;
-  options.seed = seed;
-  return options;
+  options.max_epochs = 1;
+  options.seed = StreamSeed(seed, 0, serial);
+  s->pipeline.reset();  // The previous stream's threads stop first.
+  s->pipeline =
+      std::make_unique<pcr::LoaderPipeline>(s->dataset.get(), options);
+  s->checker = std::make_unique<StreamChecker>(
+      fixture.oracle, fixture.num_scan_groups, true, kFullCheckEvery,
+      options.seed);
 }
 
 /// Set-up: open the dataset, start a one-epoch pipeline, take its first
@@ -360,12 +453,7 @@ pcr::Status SetUpInProcess(const Fixture& fixture, uint64_t seed,
   InProcessStream& s = *stream;
   PCR_ASSIGN_OR_RETURN(s.dataset,
                        pcr::PcrDataset::Open(s.storage.env, s.storage.dir));
-  s.epochs = 1;
-  s.pipeline = std::make_unique<pcr::LoaderPipeline>(
-      s.dataset.get(), PipelineOptions(StreamSeed(seed, 0, 0), s.epochs));
-  s.checker = std::make_unique<StreamChecker>(
-      fixture.oracle, fixture.num_scan_groups, true, s.epochs,
-      kFullCheckEvery, StreamSeed(seed, 0, 0));
+  StartInProcessStream(fixture, seed, 0, &s);
   const double t0 = NowSeconds();
   PCR_ASSIGN_OR_RETURN(pcr::LoadedBatch first, s.pipeline->Next());
   s.first_wait = NowSeconds() - t0;
@@ -377,7 +465,7 @@ pcr::Status RunInProcess(const RunOptions& options, const Fixture& fixture,
                          RunReport* report, ConsumerRun* run,
                          PipelineTotals* totals) {
   InProcessStream stream;
-  for (int rep = 0; rep < kSetupRepeats; ++rep) {
+  while (MoreSetUps(report->setup_seconds)) {
     if (stream.pipeline != nullptr) {
       // An abandoned set-up: only its first batch was attempted.
       run->attempted += 1;
@@ -392,10 +480,13 @@ pcr::Status RunInProcess(const RunOptions& options, const Fixture& fixture,
   }
   totals->first_wait = stream.first_wait;
 
-  CpuMeter cpu;
+  ProcessMeter cpu;
   const double start = NowSeconds();
   const double deadline = start + options.seconds;
-  int epochs_done = 0;
+  run->start = start;
+  run->deadline = deadline;
+  // One-epoch streams, as a daemon client runs them, until the deadline; the
+  // stream running at the deadline is consumed to its end and checked.
   int serial = 0;
   for (;;) {
     const double t0 = NowSeconds();
@@ -411,29 +502,16 @@ pcr::Status RunInProcess(const RunOptions& options, const Fixture& fixture,
       run->wall = t1 - start;
       continue;
     }
-    const bool ended = batch.status().code() == pcr::StatusCode::kOutOfRange;
-    run->attempted +=
-        static_cast<int64_t>(stream.epochs) * fixture.num_records;
+    run->attempted += fixture.num_records;
     totals->Add(*stream.pipeline);
     // Finish() counts what an ended or failed stream still owed.
     run->Absorb(*stream.checker);
-    if (!ended) {
+    if (batch.status().code() != pcr::StatusCode::kOutOfRange) {
       run->Note("pipeline failed: " + batch.status().ToString());
       break;
     }
-    epochs_done += stream.epochs;
-    const int epochs = NextStreamEpochs(
-        t1, deadline, (t1 - start) / epochs_done, epochs_done);
-    if (epochs == 0) break;
-    ++serial;
-    stream.pipeline.reset();
-    stream.epochs = epochs;
-    stream.pipeline = std::make_unique<pcr::LoaderPipeline>(
-        stream.dataset.get(),
-        PipelineOptions(StreamSeed(options.seed, 0, serial), epochs));
-    stream.checker = std::make_unique<StreamChecker>(
-        fixture.oracle, fixture.num_scan_groups, true, epochs,
-        kFullCheckEvery, StreamSeed(options.seed, 0, serial));
+    if (t1 >= deadline) break;
+    StartInProcessStream(fixture, options.seed, ++serial, &stream);
   }
   cpu.Stop();
   ReportRates({run}, cpu, report);
@@ -458,6 +536,10 @@ struct DaemonClient {
   int serial = 0;
   std::unique_ptr<StreamChecker> checker;
   std::unique_ptr<ClosedLoopWindow> window;
+  /// The current stream's deliveries, and those that read less than their
+  /// record's prefix bytes (a decode-cache hit or a resident prefix).
+  int64_t stream_batches = 0;
+  int64_t stream_resident = 0;
   /// Compressed-plane clients decode what they receive, as a trainer does.
   pcr::jpeg::DecodeScratch scratch;
   ConsumerRun run;
@@ -483,19 +565,49 @@ pcr::Status OpenClientStream(DaemonClient* c, const Fixture& fixture,
   PCR_ASSIGN_OR_RETURN(pcr::serve::StreamOpenedReply opened,
                        c->client->OpenStream(open));
   c->stream_id = opened.stream_id;
+  c->stream_batches = 0;
+  c->stream_resident = 0;
   c->run.attempted += fixture.num_records;
   c->checker = std::make_unique<StreamChecker>(
-      fixture.oracle, ExpectedGroup(c->spec, fixture), c->spec.decode, 1,
+      fixture.oracle, ExpectedGroup(c->spec, fixture), c->spec.decode,
       kFullCheckEvery, open.seed);
   c->window =
       std::make_unique<ClosedLoopWindow>(kClientWindow, fixture.num_records + 1);
   return pcr::Status::OK();
 }
 
+/// Checks one delivered batch and counts what it read; returns the storage
+/// bytes its record's prefix spans at the batch's scan group.
+uint64_t TakeDelivery(DaemonClient* c, const Fixture& fixture,
+                      const pcr::serve::ServedBatch& batch) {
+  c->checker->Check(FromServed(batch));
+  const uint64_t prefix = fixture.ReadBytes(
+      static_cast<int>(batch.record_index), static_cast<int>(batch.scan_group));
+  c->stream_batches += 1;
+  if (batch.bytes_read < prefix) c->stream_resident += 1;
+  return prefix;
+}
+
+/// Decodes a compressed-plane batch's JPEG streams, as a trainer on that
+/// plane does before it can use the batch; returns false if one fails.
+/// Traced runs record each decode's thread CPU.
+bool DecodeJpegs(DaemonClient* c, const pcr::serve::ServedBatch& batch,
+                 bool trace) {
+  for (const std::string& jpeg : batch.jpegs()) {
+    const int64_t decode0 = trace ? ThreadCpuNanos() : 0;
+    if (!pcr::jpeg::Decode(jpeg, &c->scratch).ok()) return false;
+    if (trace) {
+      c->run.decode_cpu_seconds.push_back((ThreadCpuNanos() - decode0) * 1e-9);
+    }
+  }
+  return true;
+}
+
 /// Sends what the window allows, then takes one reply and checks it.
 /// Returns false once the client cannot continue; the stream's checker then
 /// counts what it still owed.
-bool PumpOne(DaemonClient* c, bool trace, double start) {
+bool PumpOne(DaemonClient* c, const Fixture& fixture, bool trace,
+             double start) {
   ConsumerRun& run = c->run;
   while (c->window->CanSend()) {
     const double t0 = NowSeconds();
@@ -518,13 +630,10 @@ bool PumpOne(DaemonClient* c, bool trace, double start) {
     return false;
   }
   if (batch->end_of_stream) return true;  // Early ends show at Finish().
-  c->checker->Check(FromServed(*batch));
-  for (const std::string& jpeg : batch->jpegs()) {
-    if (!pcr::jpeg::Decode(jpeg, &c->scratch).ok()) {
-      run.failed += 1;
-      run.Note("client-side decode failed");
-      break;
-    }
+  run.prefix_bytes += TakeDelivery(c, fixture, *batch);
+  if (!DecodeJpegs(c, *batch, trace)) {
+    run.failed += 1;
+    run.Note("client-side decode failed");
   }
   batch->Release();
   const double consumed = NowSeconds();
@@ -546,7 +655,14 @@ pcr::Status FinishClientStream(DaemonClient* c, bool trace) {
     PCR_ASSIGN_OR_RETURN(pcr::serve::StatsReply stats,
                          c->client->GetStats(c->stream_id));
     for (const pcr::serve::StreamStats& s : stats.streams) {
-      if (s.stream_id == c->stream_id) c->run.streams.push_back(s);
+      if (s.stream_id != c->stream_id) continue;
+      c->run.streams.push_back(s);
+      // Every decode-cache hit reads nothing, so the resident deliveries
+      // beyond the hits are misses served from resident prefixes.
+      c->run.decode_misses +=
+          std::max<int64_t>(0, c->stream_batches - s.cache_hits);
+      c->run.resident_misses +=
+          std::max<int64_t>(0, c->stream_resident - s.cache_hits);
     }
   }
   return c->client->CloseStream(c->stream_id).status();
@@ -555,21 +671,53 @@ pcr::Status FinishClientStream(DaemonClient* c, bool trace) {
 struct DaemonSetup {
   std::unique_ptr<pcr::serve::PcrDaemon> daemon;
   std::vector<std::unique_ptr<DaemonClient>> clients;
+  ConsumerRun warm_up;  // The warm-up epoch's checks, when there is one.
 };
 
-/// Set-up: start the daemon, connect every client, open its first
-/// one-epoch stream and take its first batch.
+/// Warms the daemon's decode cache: one client runs one full-fidelity epoch,
+/// every batch checked, and disconnects.
+pcr::Status WarmUp(const RunOptions& options, const Fixture& fixture,
+                   const std::string& socket_path, int index,
+                   ConsumerRun* run) {
+  DaemonClient c;
+  c.spec = ClientSpec{"warm", true, 0, true};
+  c.index = index;
+  PCR_ASSIGN_OR_RETURN(c.client, pcr::serve::PcrClient::Connect(
+                                     socket_path, "perfbench-warm-up"));
+  PCR_RETURN_IF_ERROR(OpenClientStream(&c, fixture, options.seed));
+  bool alive = true;
+  while (alive && !c.window->done()) {
+    alive = PumpOne(&c, fixture, false, NowSeconds());
+  }
+  const pcr::Status finished =
+      alive ? FinishClientStream(&c, false) : pcr::Status::OK();
+  if (!alive) c.run.Absorb(*c.checker);
+  c.client->Close();
+  run->attempted += c.run.attempted;
+  run->failed += c.run.failed;
+  run->Note(c.run.first_error);
+  if (!alive) return pcr::Status::Aborted("warm-up: " + c.run.first_error);
+  return finished;
+}
+
+/// Set-up: start the daemon, warm its cache (`warm`), connect every client,
+/// open its first one-epoch stream and take its first batch (decoded, on
+/// the compressed plane, as every later batch is).
 pcr::Result<DaemonSetup> SetUpDaemon(const RunOptions& options,
                                      const Fixture& fixture,
                                      pcr::serve::DaemonOptions daemon_options,
                                      const std::vector<ClientSpec>& specs,
-                                     int rep) {
+                                     bool warm, int rep) {
   DaemonSetup s;
   daemon_options.socket_path = pcr::StrFormat(
       "%s/d%d-%d.sock", options.work_dir.c_str(), static_cast<int>(getpid()),
       rep);
   PCR_ASSIGN_OR_RETURN(s.daemon, pcr::serve::PcrDaemon::Start(
                                      pcr::Env::Default(), daemon_options));
+  if (warm) {
+    PCR_RETURN_IF_ERROR(WarmUp(options, fixture, s.daemon->socket_path(),
+                               static_cast<int>(specs.size()), &s.warm_up));
+  }
   for (size_t i = 0; i < specs.size(); ++i) {
     auto c = std::make_unique<DaemonClient>();
     c->spec = specs[i];
@@ -588,7 +736,10 @@ pcr::Result<DaemonSetup> SetUpDaemon(const RunOptions& options,
     PCR_ASSIGN_OR_RETURN(pcr::serve::ServedBatch first,
                          c->client->ReceiveServedBatch(c->stream_id));
     c->window->OnReceive(NowSeconds());
-    c->checker->Check(FromServed(first));
+    TakeDelivery(c.get(), fixture, first);
+    if (!DecodeJpegs(c.get(), first, false)) {
+      return pcr::Status::Corruption("client-side decode failed in set-up");
+    }
     s.clients.push_back(std::move(c));
   }
   return s;
@@ -603,7 +754,7 @@ void RunClient(DaemonClient* c, const Fixture& fixture,
   for (;;) {
     bool alive = true;
     while (alive && !c->window->done()) {
-      alive = PumpOne(c, options.trace, start);
+      alive = PumpOne(c, fixture, options.trace, start);
     }
     if (!alive) {
       c->run.Absorb(*c->checker);
@@ -631,11 +782,11 @@ void RunClient(DaemonClient* c, const Fixture& fixture,
 
 pcr::Status RunDaemon(const RunOptions& options, const Fixture& fixture,
                       const pcr::serve::DaemonOptions& daemon_options,
-                      const std::vector<ClientSpec>& specs,
+                      const std::vector<ClientSpec>& specs, bool warm,
                       RunReport* report, std::vector<ConsumerRun>* runs) {
   ConsumerRun setup;
   DaemonSetup s;
-  for (int rep = 0; rep < kSetupRepeats; ++rep) {
+  for (int rep = 0; MoreSetUps(report->setup_seconds); ++rep) {
     if (s.daemon != nullptr) {
       for (auto& c : s.clients) {
         // An abandoned set-up: only its first batch was attempted.
@@ -649,14 +800,21 @@ pcr::Status RunDaemon(const RunOptions& options, const Fixture& fixture,
     }
     const double t0 = NowSeconds();
     PCR_ASSIGN_OR_RETURN(
-        s, SetUpDaemon(options, fixture, daemon_options, specs, rep));
+        s, SetUpDaemon(options, fixture, daemon_options, specs, warm, rep));
     report->setup_seconds.push_back(NowSeconds() - t0);
+    setup.attempted += s.warm_up.attempted;
+    setup.failed += s.warm_up.failed;
+    setup.Note(s.warm_up.first_error);
   }
 
   const pcr::DecodeCacheStats cache_before = s.daemon->decode_cache()->stats();
-  CpuMeter cpu;
+  ProcessMeter cpu;
   const double start = NowSeconds();
   const double deadline = start + options.seconds;
+  for (auto& c : s.clients) {
+    c->run.start = start;
+    c->run.deadline = deadline;
+  }
   {
     std::vector<std::thread> threads;
     for (auto& c : s.clients) {
@@ -681,8 +839,18 @@ pcr::Status RunDaemon(const RunOptions& options, const Fixture& fixture,
     runs->front().first_error = setup.first_error;
   }
   std::vector<const ConsumerRun*> measured;
-  for (const ConsumerRun& run : *runs) measured.push_back(&run);
+  double client_decode = 0;
+  for (const ConsumerRun& run : *runs) {
+    measured.push_back(&run);
+    for (const double d : run.decode_cpu_seconds) client_decode += d;
+  }
   ReportRates(measured, cpu, report);
+  if (options.trace) {
+    // The clients' decode CPU over the process's, from the start to the
+    // last client's end (after Stop(), CpuAt(now) is the last sample).
+    report->metrics["jpeg.client_decode_cpu_share"] = Ratio(
+        client_decode, cpu.CpuAt(NowSeconds()) - cpu.CpuAt(start));
+  }
   const double hits = cache_after.hits - cache_before.hits;
   const double misses = cache_after.misses - cache_before.misses;
   const double evictions =
@@ -740,6 +908,19 @@ void ReportServeStats(const std::vector<ConsumerRun>& runs,
   }
   m["serve.client_send_us"] = Median(send) * 1e6;
   m["serve.client_receive_us"] = Median(receive) * 1e6;
+
+  // The daemon's prefix cache, as its deliveries show it: a decode-cache
+  // miss that read less than its record's prefix bytes found that prefix at
+  // least partly resident (the PrefixCache's notion of a hit).
+  double misses = 0, resident = 0;
+  for (const ConsumerRun& run : runs) {
+    misses += static_cast<double>(run.decode_misses);
+    resident += static_cast<double>(run.resident_misses);
+    m["serve.storage_read_share." + run.cls] =
+        Ratio(static_cast<double>(run.bytes_read),
+              static_cast<double>(run.prefix_bytes));
+  }
+  m["loader.prefix_hit_rate"] = Ratio(resident, misses);
 }
 
 // --- Traced replay -----------------------------------------------------------
@@ -796,11 +977,11 @@ pcr::Status RunReplay(const ReplayConfig& config,
   m["loader.cache_insert_us"] =
       Median(PerRequestSums(tracer, {kSpanCacheInsert})) * 1e6;
   if (daemon_workload) {
-    // The daemon's pipelines are internal; the replay stands in for their
-    // storage and prefix-cache counters.
-    m["storage.fetch_p50_ms"] = Percentile(reads, 50.0) * 1e3;
-    m["storage.fetch_p99_ms"] = Percentile(reads, 99.0) * 1e3;
-    m["loader.prefix_hit_rate"] =
+    // The daemon does not expose its pipelines' fetch latencies or prefix
+    // lookups; these are the serial replay's, under their own names.
+    m["replay.fetch_p50_ms"] = Percentile(reads, 50.0) * 1e3;
+    m["replay.fetch_p99_ms"] = Percentile(reads, 99.0) * 1e3;
+    m["replay.prefix_hit_rate"] =
         Ratio(static_cast<double>(replay.prefix_hits),
               static_cast<double>(replay.prefix_lookups));
   }
@@ -843,12 +1024,13 @@ void ReportConsumers(const std::vector<ConsumerRun>& runs, bool per_client,
   uint64_t bytes_read = 0;
   std::vector<double> waits;
   for (const ConsumerRun& run : runs) {
-    const double rate = Ratio(static_cast<double>(run.images), run.wall);
+    const double rate = run.MeasuredRate();
     images += run.images;
     bytes_read += run.bytes_read;
     waits.insert(waits.end(), run.waits.begin(), run.waits.end());
     report->consumers.push_back(pcr::StrFormat(
-        "%-6s %8lld images in %7.3f s = %10.1f img/s, wait p50 %.2f ms",
+        "%-6s %8lld images in %7.3f s, %10.1f img/s by the deadline, "
+        "wait p50 %.2f ms",
         run.cls.c_str(), static_cast<long long>(run.images), run.wall, rate,
         Median(run.waits) * 1e3));
     report->attempted += run.attempted;
@@ -864,8 +1046,7 @@ void ReportConsumers(const std::vector<ConsumerRun>& runs, bool per_client,
       Ratio(static_cast<double>(bytes_read), static_cast<double>(images));
   if (per_client) {
     for (const ConsumerRun& run : runs) {
-      m["serve.client_images_per_s." + run.cls] =
-          Ratio(static_cast<double>(run.images), run.wall);
+      m["serve.client_images_per_s." + run.cls] = run.MeasuredRate();
     }
   }
   m["failed_share"] = Ratio(static_cast<double>(report->failed),
@@ -902,7 +1083,8 @@ void ReportPipelines(const PipelineTotals& t, double wall, RunReport* report) {
 
 const std::vector<std::string>& WorkloadNames() {
   static const std::vector<std::string> names = {"local_full", "remote_full",
-                                                 "serve_mixed"};
+                                                 "serve_warm", "serve_mixed",
+                                                 "serve_compressed"};
   return names;
 }
 
@@ -943,15 +1125,47 @@ pcr::Result<RunReport> RunWorkload(const RunOptions& options,
       PCR_RETURN_IF_ERROR(
           RunReplay(config, requests, fixture, false, &report));
     }
-  } else if (options.workload == "serve_mixed") {
-    const pcr::serve::DaemonOptions daemon_options;
-    const std::vector<ClientSpec> specs = {{"full", true, 0, true},
-                                           {"g5", true, 5, true},
-                                           {"g1", true, 1, true},
-                                           {"jpeg", false, 0, false}};
+  } else if (options.workload == "serve_mixed" ||
+             options.workload == "serve_warm" ||
+             options.workload == "serve_compressed") {
+    const bool warm = options.workload == "serve_warm";
+    pcr::serve::DaemonOptions daemon_options;
+    std::vector<ClientSpec> specs = {{"full", true, 0, true},
+                                     {"g5", true, 5, true},
+                                     {"g1", true, 1, true},
+                                     {"jpeg", false, 0, false}};
+    if (options.workload == "serve_compressed") {
+      // Every client on the compressed plane, decoding what it receives:
+      // two at full fidelity (their rates give serve.fairness), one at
+      // group 5 and one at group 1.
+      specs = {{"full", false, 0, false}, {"g5", false, 5, false},
+               {"g1", false, 1, false}, {"full2", false, 0, false}};
+    }
+    if (warm) {
+      // Room for four times the decoded working set, all of it for this
+      // dataset: the cache's shards each hold an eighth, and records hash
+      // to them unevenly, so twice the working set still evicts.
+      daemon_options.decode_cache_bytes = 4 * kDecodedEpochBytes;
+      daemon_options.dataset_cache_share = 1.0;
+      specs.assign(4, ClientSpec{"full", true, 0, true});
+    }
     PCR_RETURN_IF_ERROR(RunDaemon(options, fixture, daemon_options, specs,
-                                  &report, &runs));
-    ReportConsumers(runs, true, &report);
+                                  warm, &report, &runs));
+    ReportConsumers(runs, !warm, &report);
+    // Fairness among the clients that ask for what the first one asks for.
+    std::vector<double> rates;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      if (specs[i].decode == specs[0].decode &&
+          specs[i].scan_group == specs[0].scan_group &&
+          specs[i].shm == specs[0].shm) {
+        rates.push_back(runs[i].MeasuredRate());
+      }
+    }
+    if (rates.size() > 1) {
+      report.metrics["serve.fairness"] =
+          Ratio(*std::min_element(rates.begin(), rates.end()),
+                *std::max_element(rates.begin(), rates.end()));
+    }
     if (options.trace) {
       ReportServeStats(runs, &report);
       // The daemon's cache configuration, replayed serially.
@@ -975,13 +1189,29 @@ pcr::Result<RunReport> RunWorkload(const RunOptions& options,
       PCR_RETURN_IF_ERROR(RunReplay(config,
                                     ClientEpochs(specs, fixture, options.seed),
                                     fixture, true, &report));
+      // A scan group the daemon decoded nothing at (it served it on the
+      // compressed plane) gets the decode cost its clients measured.
+      std::map<std::string, std::vector<double>> client_decodes;
+      for (size_t i = 0; i < specs.size(); ++i) {
+        const int group = ExpectedGroup(specs[i], fixture);
+        const std::string name =
+            group == fixture.num_scan_groups ? "full"
+                                             : "g" + std::to_string(group);
+        client_decodes[name].insert(client_decodes[name].end(),
+                                    runs[i].decode_cpu_seconds.begin(),
+                                    runs[i].decode_cpu_seconds.end());
+      }
+      for (const auto& [name, seconds] : client_decodes) {
+        double& metric = report.metrics["jpeg.decode_us_per_image." + name];
+        if (metric == 0 && !seconds.empty()) metric = Median(seconds) * 1e6;
+      }
     }
   } else {
     return pcr::Status::InvalidArgument("unknown workload " +
                                         options.workload);
   }
   report.metrics["setup_s"] = Median(report.setup_seconds);
-  report.metrics["peak_rss_mib"] = PeakRssMib();
+  report.metrics["process.rss_high_water_mib"] = HighWaterRssMib();
   report.metrics["serve.threads_peak"] = threads.peak();
   return report;
 }
