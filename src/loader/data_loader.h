@@ -1,25 +1,16 @@
-// DataLoader: synchronous record-fetch + decode core, for callers that want
-// one record at a time on the calling thread. Concurrent wall-clock loading
-// lives in the staged LoaderPipeline (pipeline.h) and its PrefetchingLoader
-// adapter (prefetcher.h); the virtual-clock TrainingPipelineSim
-// (sim/pipeline_sim.h) overlaps load/compute analytically.
+// LoadedBatch: one record as the loader delivers it — decoded pixels, or the
+// assembled JPEG streams when decode is off. LoaderPipeline (pipeline.h)
+// produces it; the decode cache (decode_cache.h) stores it.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/record_source.h"
 #include "image/image.h"
-#include "jpeg/codec.h"
-#include "loader/sampler.h"
-#include "loader/scan_policy.h"
-#include "util/random.h"
-#include "util/result.h"
+#include "util/slice.h"
 
 namespace pcr {
-
-class DecodeCache;  // loader/decode_cache.h
 
 /// One loaded (and optionally decoded) record.
 struct LoadedBatch {
@@ -39,78 +30,6 @@ struct LoadedBatch {
     return Slice(jpeg_backing.data() + jpeg_spans[i].offset,
                  jpeg_spans[i].length);
   }
-};
-
-struct LoaderOptions {
-  bool shuffle = true;
-  uint64_t seed = 42;
-  /// Default policy: full quality.
-  std::shared_ptr<ScanGroupPolicy> scan_policy;
-
-  // Decoded-record LRU cache (loader/decode_cache.h). Multi-epoch runs hit
-  // the cache instead of re-fetching and re-decoding the same (record, scan
-  // group). Either hand in a shared cache (reused across loaders /
-  // pipelines, e.g. one per training job), or set decode_cache_bytes > 0 to
-  // have the loader build a private one. Both null and 0 bytes = caching off.
-  std::shared_ptr<DecodeCache> decode_cache;
-  uint64_t decode_cache_bytes = 0;
-  int decode_cache_shards = 8;
-  /// Key namespace inside a shared cache; 0 = auto-register a fresh id.
-  uint64_t cache_dataset_id = 0;
-};
-
-/// Decodes every JPEG of an assembled RecordBatch into pixels — the shared
-/// CPU half of both the synchronous DataLoader and the pipeline's decode
-/// stage. `scratch` (may be null) lets a long-lived decode thread reuse
-/// coefficient and staging buffers across records.
-Result<LoadedBatch> DecodeRecordBatch(RecordBatch raw, int record_index,
-                                      int scan_group,
-                                      jpeg::DecodeScratch* scratch = nullptr);
-
-/// Cumulative loader counters.
-struct LoaderStats {
-  int64_t records_loaded = 0;
-  int64_t images_loaded = 0;
-  int64_t bytes_read = 0;
-  int64_t cache_hits = 0;  // Records served from the decoded-record cache.
-};
-
-/// Pulls shuffled records from a RecordSource at a policy-selected quality
-/// and decodes them. Not thread-safe; wrap with PrefetchingLoader for
-/// concurrent use.
-class DataLoader {
- public:
-  DataLoader(RecordSource* source, LoaderOptions options);
-
-  /// Fetches and decodes the next record of the epoch stream.
-  Result<LoadedBatch> NextBatch();
-
-  /// Fetches a specific record at a specific quality (used by tuners to
-  /// probe scan groups).
-  Result<LoadedBatch> LoadRecord(int record_index, int scan_group);
-
-  int epoch() const { return sampler_.epoch(); }
-  size_t records_per_epoch() const { return sampler_.records_per_epoch(); }
-  const LoaderStats& stats() const { return stats_; }
-  RecordSource* source() { return source_; }
-
-  /// Swaps the quality policy at runtime (dynamic tuning, §4.5/§A.6.2).
-  void set_scan_policy(std::shared_ptr<ScanGroupPolicy> policy) {
-    options_.scan_policy = std::move(policy);
-  }
-  ScanGroupPolicy* scan_policy() { return options_.scan_policy.get(); }
-
-  /// The decoded-record cache in use (null when caching is off) and this
-  /// loader's key namespace inside it.
-  DecodeCache* decode_cache() { return options_.decode_cache.get(); }
-  uint64_t cache_dataset_id() const { return options_.cache_dataset_id; }
-
- private:
-  RecordSource* source_;
-  LoaderOptions options_;
-  RecordSampler sampler_;
-  Rng rng_;
-  LoaderStats stats_;
 };
 
 }  // namespace pcr

@@ -8,10 +8,20 @@
 
 #include "storage/io_retry.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace pcr {
 
 namespace {
+
+/// Upper bound on raw records a decode worker claims per queue visit (one
+/// lock + one notify per visit instead of per record); the actual claim is
+/// capped at the worker's fair share of the queued records so a draining
+/// queue still spreads across idle workers. Records decode and deliver one
+/// at a time.
+constexpr size_t kDecodePopBatch = 4;
+/// Ceiling on the adaptive hedge deadline.
+constexpr double kHedgeMaxSec = 1.0;
 
 int64_t NowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -33,32 +43,19 @@ LoaderPipeline::LoaderPipeline(RecordSource* source,
   options_.io_threads = std::max(1, options_.io_threads);
   options_.io_inflight = std::max(1, options_.io_inflight);
   options_.decode_threads = std::max(1, options_.decode_threads);
-  options_.decode_pop_batch = std::max(1, options_.decode_pop_batch);
   if (options_.scan_policy == nullptr) {
     options_.scan_policy =
         std::make_shared<FixedScanPolicy>(source->num_scan_groups());
   }
   if (!options_.decode) {
     options_.decode_cache = nullptr;  // Cache stores decoded batches only.
-  } else if (options_.decode_cache == nullptr &&
-             options_.decode_cache_bytes > 0) {
-    DecodeCacheOptions cache_options;
-    cache_options.capacity_bytes = options_.decode_cache_bytes;
-    cache_options.shards = options_.decode_cache_shards;
-    options_.decode_cache = std::make_shared<DecodeCache>(cache_options);
   }
   if (options_.decode_cache != nullptr && options_.cache_dataset_id == 0) {
     options_.cache_dataset_id = options_.decode_cache->RegisterDataset();
   }
   options_.io_submit_batch = std::max(1, options_.io_submit_batch);
-  options_.io_retry_attempts = std::max(1, options_.io_retry_attempts);
   // Completion cookies carry the slot index in 16 bits.
   options_.io_inflight = std::min(options_.io_inflight, 0xffff);
-  if (options_.prefix_cache == nullptr && options_.prefix_cache_bytes > 0) {
-    PrefixCacheOptions prefix_options;
-    prefix_options.capacity_bytes = options_.prefix_cache_bytes;
-    options_.prefix_cache = std::make_shared<PrefixCache>(prefix_options);
-  }
   if (options_.prefix_cache != nullptr && options_.prefix_dataset_id == 0) {
     options_.prefix_dataset_id = options_.prefix_cache->RegisterDataset();
   }
@@ -167,13 +164,11 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
     scheduler_options.submit_batch = options_.io_submit_batch;
     std::unique_ptr<IoScheduler> scheduler =
         env->NewIoScheduler(scheduler_options);
-    if (options_.io_retry_attempts > 1) {
-      RetryPolicy policy;
-      policy.max_attempts = options_.io_retry_attempts;
-      policy.initial_backoff_sec = options_.io_retry_backoff_sec;
-      scheduler =
-          NewRetryingIoScheduler(std::move(scheduler), policy, env->clock());
-    }
+    // RetryPolicy's defaults: 3 submissions per request against this
+    // backend before a failure surfaces to failover, backing off from 0.5 ms
+    // and doubling, on the backend Env's clock.
+    scheduler = NewRetryingIoScheduler(std::move(scheduler), RetryPolicy{},
+                                       env->clock());
     schedulers.emplace_back(env, std::move(scheduler));
     io_backend_name_.store(schedulers.back().second->backend_name(),
                            std::memory_order_relaxed);
@@ -210,7 +205,7 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
         p / 100.0 * static_cast<double>(sorted.size() - 1));
     const double deadline_sec =
         std::clamp(sorted[index] * options_.hedge_latency_factor,
-                   options_.hedge_min_sec, options_.hedge_max_sec);
+                   options_.hedge_min_sec, kHedgeMaxSec);
     return static_cast<int64_t>(deadline_sec * 1e9);
   };
 
@@ -522,20 +517,24 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
 
 Result<LoadedBatch> LoaderPipeline::AssembleAndDecode(
     RawRecord raw, jpeg::DecodeScratch* scratch) {
-  const int record = raw.record;
-  const int group = raw.scan_group;
+  LoadedBatch batch;
+  batch.record_index = raw.record;
+  batch.scan_group = raw.scan_group;
   PCR_ASSIGN_OR_RETURN(RecordBatch assembled,
                        source_->AssembleRecord(std::move(raw)));
-  if (options_.decode) {
-    return DecodeRecordBatch(std::move(assembled), record, group, scratch);
-  }
-  LoadedBatch batch;
-  batch.record_index = record;
-  batch.scan_group = group;
   batch.labels = std::move(assembled.labels);
   batch.bytes_read = assembled.bytes_read;
-  batch.jpeg_spans = std::move(assembled.spans);
-  batch.jpeg_backing = std::move(assembled.backing);
+  if (!options_.decode) {
+    batch.jpeg_spans = std::move(assembled.spans);
+    batch.jpeg_backing = std::move(assembled.backing);
+    return batch;
+  }
+  // `scratch` recycles this decode thread's coefficient and staging buffers.
+  batch.images.reserve(assembled.spans.size());
+  for (int i = 0; i < assembled.size(); ++i) {
+    PCR_ASSIGN_OR_RETURN(Image img, jpeg::Decode(assembled.jpeg(i), scratch));
+    batch.images.push_back(std::move(img));
+  }
   return batch;
 }
 
@@ -545,7 +544,7 @@ void LoaderPipeline::DecodeWorkerLoop() {
   // worker decodes.
   jpeg::DecodeScratch scratch;
   std::vector<RawRecord> claimed;
-  claimed.reserve(static_cast<size_t>(options_.decode_pop_batch));
+  claimed.reserve(kDecodePopBatch);
   bool running = true;
   while (running) {
     claimed.clear();
@@ -555,8 +554,7 @@ void LoaderPipeline::DecodeWorkerLoop() {
     // peer workers could decode in parallel.
     const size_t share =
         fetch_queue_.size() / static_cast<size_t>(options_.decode_threads);
-    const size_t claim = std::clamp<size_t>(
-        share, 1, static_cast<size_t>(options_.decode_pop_batch));
+    const size_t claim = std::clamp<size_t>(share, 1, kDecodePopBatch);
     const int64_t pop_start = NowNanos();
     fetch_queue_.PopMany(claim, &claimed);
     decode_stats_.AddIdleNanos(NowNanos() - pop_start);

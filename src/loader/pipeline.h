@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/record_source.h"
+#include "jpeg/codec.h"
 #include "loader/data_loader.h"
 #include "loader/decode_cache.h"
 #include "loader/prefix_cache.h"
@@ -59,12 +60,6 @@ struct LoaderPipelineOptions {
   int fetch_queue_depth = 8;
   /// Decode stage: ThreadPool workers running AssembleRecord + jpeg::Decode.
   int decode_threads = 4;
-  /// Upper bound on raw records a decode worker claims per queue visit
-  /// (one lock + one notify per visit instead of per record); the actual
-  /// claim is capped at the worker's fair share of the queued records so a
-  /// draining queue still spreads across idle workers. Records decode and
-  /// deliver one at a time. >= 1.
-  int decode_pop_batch = 4;
   /// Decoded batches buffered ahead of the consumer.
   int output_queue_depth = 8;
   /// When false, batches carry assembled JPEG streams instead of decoded
@@ -78,17 +73,15 @@ struct LoaderPipelineOptions {
   /// Scan-group selection per record; defaults to full quality.
   std::shared_ptr<ScanGroupPolicy> scan_policy;
 
-  // Decoded-record LRU cache (loader/decode_cache.h). I/O workers consult it
-  // per ticket: a hit short-circuits before the raw queue — no fetch, no
-  // decode — and pushes the cached batch straight to the output queue;
-  // misses flow through the stages and populate the cache after decode.
-  // Hand in a shared cache (it survives pipeline teardown, so every epoch or
-  // rebuilt pipeline reuses it), or set decode_cache_bytes > 0 for a private
-  // one. Caching applies only when `decode` is true (compressed-byte
-  // consumers are the storage page cache's job).
+  // Decoded-record LRU cache (loader/decode_cache.h); null = off. I/O
+  // workers consult it per ticket: a hit short-circuits before the raw queue
+  // — no fetch, no decode — and pushes the cached batch straight to the
+  // output queue; misses flow through the stages and populate the cache
+  // after decode. The cache is shared and survives pipeline teardown, so
+  // every epoch or rebuilt pipeline reuses it. Caching applies only when
+  // `decode` is true (compressed-byte consumers are the storage page cache's
+  // job).
   std::shared_ptr<DecodeCache> decode_cache;
-  uint64_t decode_cache_bytes = 0;
-  int decode_cache_shards = 8;
   /// Key namespace inside a shared cache; 0 = auto-register a fresh id.
   /// Loaders over the same on-storage dataset share hits by passing the
   /// same id.
@@ -105,37 +98,30 @@ struct LoaderPipelineOptions {
 
   // Fault tolerance on the I/O stage. Three independent layers: transparent
   // retry of transient backend errors (storage/io_retry.h wraps each
-  // scheduler), replica failover (a failed fetch re-submits against the
-  // plan's next FetchPlan::alternates entry), and hedged reads (a fetch
-  // outliving an adaptive deadline duplicates to an alternate;
-  // first-completion-wins, the loser is discarded on arrival). Replica-less
-  // sources attach no alternates, so failover and hedging are no-ops there.
-  /// Submissions per request against one backend before its failure
-  /// surfaces to failover; 1 disables retry.
-  int io_retry_attempts = 3;
-  /// First retry backoff; doubles per retry (capped at 100x) on the
-  /// backend Env's clock.
-  double io_retry_backoff_sec = 0.5e-3;
+  // scheduler: 3 submissions per request against one backend, backoff from
+  // 0.5 ms doubling per retry, before a failure surfaces to failover),
+  // replica failover (a failed fetch re-submits against the plan's next
+  // FetchPlan::alternates entry), and hedged reads (a fetch outliving an
+  // adaptive deadline duplicates to an alternate; first-completion-wins, the
+  // loser is discarded on arrival). Replica-less sources attach no
+  // alternates, so failover and hedging are no-ops there.
   /// Duplicate a slow fetch to an untried alternate replica once it
   /// outlives the hedge deadline.
   bool hedged_reads = true;
   /// Deadline = clamp(worker-local latency percentile * factor,
-  /// [hedge_min_sec, hedge_max_sec]); no hedging until the worker has
-  /// observed enough completed fetches to estimate the percentile.
+  /// [hedge_min_sec, 1 s]); no hedging until the worker has observed enough
+  /// completed fetches to estimate the percentile.
   double hedge_percentile = 95.0;
   double hedge_latency_factor = 2.0;
   double hedge_min_sec = 1e-3;
-  double hedge_max_sec = 1.0;
 
-  // Raw scan-prefix cache (loader/prefix_cache.h). I/O workers feed each
-  // ticket's PlanFetch the record's cached prefix, so a quality upgrade
-  // fetches only the delta bytes and a same-or-lower-quality re-read is
-  // fully resident (zero I/O); fetched payloads deepen the cache after
+  // Raw scan-prefix cache (loader/prefix_cache.h); null = off. I/O workers
+  // feed each ticket's PlanFetch the record's cached prefix, so a quality
+  // upgrade fetches only the delta bytes and a same-or-lower-quality re-read
+  // is fully resident (zero I/O); fetched payloads deepen the cache after
   // CompleteFetch. Orthogonal to the decode cache: this one holds raw
-  // on-storage bytes and serves *partial* hits. Hand in a shared cache or
-  // set prefix_cache_bytes > 0 for a private one.
+  // on-storage bytes and serves *partial* hits.
   std::shared_ptr<PrefixCache> prefix_cache;
-  uint64_t prefix_cache_bytes = 0;
   /// Key namespace inside a shared prefix cache; 0 = auto-register.
   uint64_t prefix_dataset_id = 0;
 };

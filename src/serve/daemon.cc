@@ -38,6 +38,12 @@ std::string CanonicalPath(const std::string& path) {
   return path;
 }
 
+// Per-stream I/O stage shape. One I/O worker with four reads in flight keeps
+// a stream's storage busy; the thread budget goes to decode and serving.
+constexpr int kStreamIoThreads = 1;
+constexpr int kStreamIoInflight = 4;
+constexpr IoBackend kStreamIoBackend = IoBackend::kAuto;
+
 uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -439,11 +445,15 @@ void PcrDaemon::HandleOpenStream(const std::shared_ptr<Connection>& conn,
               Status::FailedPrecondition("serve: OpenStream before Hello"), 0);
     return;
   }
-  if (req->max_epochs == 0) {
+  // The pipeline reads max_epochs <= 0 as "stream forever", so a count past
+  // INT_MAX (negative once narrowed) is as unbounded as 0.
+  if (req->max_epochs == 0 ||
+      req->max_epochs > static_cast<uint32_t>(INT_MAX)) {
     SendError(conn,
               Status::InvalidArgument(
-                  "serve: max_epochs must be >= 1 (unbounded streams would "
-                  "pin an admission slot forever; re-open instead)"),
+                  "serve: max_epochs must be in [1, INT_MAX] (unbounded "
+                  "streams would pin an admission slot forever; re-open "
+                  "instead)"),
               0);
     return;
   }
@@ -467,10 +477,10 @@ void PcrDaemon::HandleOpenStream(const std::shared_ptr<Connection>& conn,
              static_cast<uint32_t>(options_.max_inflight_per_stream)));
 
   LoaderPipelineOptions pipe;
-  pipe.io_threads = options_.io_threads;
-  pipe.io_inflight = options_.io_inflight;
+  pipe.io_threads = kStreamIoThreads;
+  pipe.io_inflight = kStreamIoInflight;
   pipe.decode_threads = options_.decode_threads;
-  pipe.io_backend = options_.io_backend;
+  pipe.io_backend = kStreamIoBackend;
   pipe.decode = req->decode;
   pipe.max_epochs = static_cast<int>(req->max_epochs);
   pipe.shuffle = req->shuffle;

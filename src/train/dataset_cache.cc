@@ -55,11 +55,9 @@ Result<std::vector<CachedDataset>> CachedDataset::BuildMulti(
 
     // Non-max passes decode the (later skipped) test images too; the
     // parallel decode stage absorbs that ~train_fraction remainder, and in
-    // exchange every train image's decode overlaps the next fetch.
+    // exchange every train image's decode overlaps the next fetch. Feature
+    // extraction stays on this thread for determinism.
     LoaderPipelineOptions pipeline_options;
-    pipeline_options.io_threads = options.io_threads;
-    pipeline_options.io_inflight = options.io_inflight;
-    pipeline_options.decode_threads = options.decode_threads;
     pipeline_options.shuffle = false;
     pipeline_options.max_epochs = 1;
     pipeline_options.scan_policy = std::make_shared<FixedScanPolicy>(g);

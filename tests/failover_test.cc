@@ -655,7 +655,6 @@ TEST(FailoverPipeline, TransientErrorsRetryBelowFailover) {
   options.decode_threads = 2;
   options.decode = false;
   options.max_epochs = 1;
-  options.io_retry_attempts = 3;
   LoaderPipeline pipeline(source.get(), options);
   DrainAndVerify(&pipeline, 1, expected);
   EXPECT_TRUE(pipeline.status().ok()) << pipeline.status();

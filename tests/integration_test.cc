@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <set>
 
 #include "core/file_per_image.h"
 #include "core/pcr_dataset.h"
@@ -13,9 +12,7 @@
 #include "data/dataset_spec.h"
 #include "image/metrics.h"
 #include "jpeg/codec.h"
-#include "loader/data_loader.h"
 #include "loader/decode_cache.h"
-#include "loader/prefetcher.h"
 #include "sim/pipeline_sim.h"
 #include "sim/queueing.h"
 #include "storage/sim_env.h"
@@ -164,69 +161,6 @@ TEST_F(IntegrationTest, MssimProfileIsMonotonicAndHighAtScan5) {
   }
   EXPECT_GT(profile[9].mean_mssim, 0.99);  // Group 10 = identical.
   EXPECT_GT(profile[4].mean_mssim, profile[0].mean_mssim);
-}
-
-TEST_F(IntegrationTest, DataLoaderDeliversEpochs) {
-  auto ds = PcrDataset::Open(env_, built_->pcr_dir).MoveValue();
-  LoaderOptions options;
-  options.scan_policy = std::make_shared<FixedScanPolicy>(2);
-  DataLoader loader(ds.get(), options);
-  std::set<int> records_seen;
-  for (size_t i = 0; i < loader.records_per_epoch(); ++i) {
-    auto batch = loader.NextBatch().MoveValue();
-    EXPECT_EQ(batch.scan_group, 2);
-    EXPECT_EQ(static_cast<int>(batch.images.size()), batch.size());
-    records_seen.insert(batch.record_index);
-  }
-  EXPECT_EQ(records_seen.size(), loader.records_per_epoch());
-  EXPECT_EQ(loader.epoch(), 0);
-  loader.NextBatch().MoveValue();
-  EXPECT_EQ(loader.epoch(), 1);
-}
-
-TEST_F(IntegrationTest, PrefetchingLoaderDeliversBatches) {
-  auto ds = PcrDataset::Open(env_, built_->pcr_dir).MoveValue();
-  PrefetchOptions options;
-  options.num_threads = 2;
-  options.queue_depth = 4;
-  options.loader.scan_policy = std::make_shared<FixedScanPolicy>(1);
-  PrefetchingLoader loader(ds.get(), options);
-  for (int i = 0; i < 12; ++i) {
-    auto batch = loader.Next();
-    ASSERT_TRUE(batch.ok()) << batch.status();
-    EXPECT_GT(batch->size(), 0);
-  }
-  loader.Stop();
-  EXPECT_GE(loader.batches_delivered(), 12);
-  // The staged pipeline underneath accounts both stages.
-  EXPECT_GE(loader.io_stats().items, 12);
-  EXPECT_GE(loader.decode_stats().items, 12);
-  EXPECT_GT(loader.io_stats().bytes, 0u);
-  EXPECT_GT(loader.decode_stats().busy_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(loader.stall_seconds(), loader.io_stall_seconds() +
-                                               loader.decode_stall_seconds());
-  EXPECT_TRUE(loader.status().ok());
-}
-
-TEST_F(IntegrationTest, PrefetchingLoaderSurfacesStorageFailures) {
-  // Copy the dataset, open it, then delete a record file out from under the
-  // loader: Next() must return the real I/O failure, not a generic abort.
-  const std::string broken_dir = PerProcessTempDir("pcr_integration_broken");
-  std::filesystem::remove_all(broken_dir);
-  std::filesystem::copy(built_->pcr_dir, broken_dir);
-  auto ds = PcrDataset::Open(env_, broken_dir).MoveValue();
-  for (int r = 0; r < ds->num_records(); ++r) {
-    std::filesystem::remove(ds->record_path(r));
-  }
-  PrefetchOptions options;
-  options.num_threads = 2;
-  PrefetchingLoader loader(ds.get(), options);
-  auto batch = loader.Next();
-  while (batch.ok()) batch = loader.Next();
-  EXPECT_FALSE(batch.status().message().empty());
-  EXPECT_NE(batch.status().message().find("I/O stage"), std::string::npos)
-      << batch.status();
-  std::filesystem::remove_all(broken_dir);
 }
 
 TEST_F(IntegrationTest, TrainingLearnsAndLowScanDegradesOrMatches) {

@@ -12,12 +12,12 @@
 #include <thread>
 #include <utility>
 
+#include "core/pcr_dataset.h"
 #include "core/sharded_record_source.h"
 #include "image/image.h"
 #include "jpeg/codec.h"
 #include "loader/decode_cache.h"
 #include "loader/pipeline.h"
-#include "loader/prefetcher.h"
 #include "storage/sim_env.h"
 #include "util/logging.h"
 
@@ -149,8 +149,52 @@ class FakeSource : public RecordSource {
   std::chrono::milliseconds fetch_delay_{0};
 };
 
+/// A real PcrDataset of `num_records` records of `images_per_record` test
+/// JPEGs (labels = image index), written to `env`.
+std::unique_ptr<PcrDataset> BuildPcrDataset(Env* env, int num_records,
+                                            int images_per_record) {
+  PcrWriterOptions options;
+  options.images_per_record = images_per_record;
+  auto writer = PcrDatasetWriter::Create(env, "pcr", options).MoveValue();
+  const std::string jpeg = MakeTestJpeg();
+  for (int i = 0; i < num_records * images_per_record; ++i) {
+    PCR_CHECK(writer->AddImage(Slice(jpeg), i).ok());
+  }
+  PCR_CHECK(writer->Finish().ok());
+  return PcrDataset::Open(env, "pcr").MoveValue();
+}
+
 TEST(LoaderPipelineTest, DeliversEveryRecordExactlyOncePerEpoch) {
-  FakeSource source(48, 2);
+  // Drains options.max_epochs epochs, checking each batch's shape and scan
+  // group and that every record arrives once per epoch before OutOfRange.
+  auto expect_exactly_once = [](RecordSource* source,
+                                const LoaderPipelineOptions& options,
+                                int scan_group) {
+    LoaderPipeline pipeline(source, options);
+    std::map<int, int> deliveries;
+    for (;;) {
+      auto batch = pipeline.Next();
+      if (!batch.ok()) {
+        EXPECT_EQ(batch.status().code(), StatusCode::kOutOfRange)
+            << batch.status();
+        break;
+      }
+      EXPECT_EQ(batch->scan_group, scan_group);
+      EXPECT_EQ(batch->size(), source->RecordImages(batch->record_index));
+      EXPECT_EQ(static_cast<int>(batch->images.size()), batch->size());
+      ++deliveries[batch->record_index];
+    }
+    ASSERT_EQ(static_cast<int>(deliveries.size()), source->num_records());
+    for (const auto& [record, count] : deliveries) {
+      EXPECT_EQ(count, options.max_epochs) << "record " << record;
+    }
+    EXPECT_EQ(pipeline.batches_delivered(),
+              options.max_epochs * source->num_records());
+    EXPECT_TRUE(pipeline.status().ok());
+  };
+
+  // Many workers on shallow queues, two shuffled epochs at full quality.
+  FakeSource fake(48, 2);
   LoaderPipelineOptions options;
   options.io_threads = 8;
   options.decode_threads = 8;
@@ -158,26 +202,16 @@ TEST(LoaderPipelineTest, DeliversEveryRecordExactlyOncePerEpoch) {
   options.output_queue_depth = 4;
   options.shuffle = true;
   options.max_epochs = 2;
-  LoaderPipeline pipeline(&source, options);
+  expect_exactly_once(&fake, options, fake.num_scan_groups());
 
-  std::map<int, int> deliveries;
-  for (;;) {
-    auto batch = pipeline.Next();
-    if (!batch.ok()) {
-      EXPECT_EQ(batch.status().code(), StatusCode::kOutOfRange)
-          << batch.status();
-      break;
-    }
-    EXPECT_EQ(batch->size(), 2);
-    EXPECT_EQ(static_cast<int>(batch->images.size()), 2);
-    ++deliveries[batch->record_index];
-  }
-  ASSERT_EQ(deliveries.size(), 48u);
-  for (const auto& [record, count] : deliveries) {
-    EXPECT_EQ(count, 2) << "record " << record;
-  }
-  EXPECT_EQ(pipeline.batches_delivered(), 96);
-  EXPECT_TRUE(pipeline.status().ok());
+  // One default-shaped epoch of a real PcrDataset read at scan group 2.
+  SimEnv env(DeviceProfile::Ram(), RealClock::Get());
+  auto dataset = BuildPcrDataset(&env, 6, 3);
+  ASSERT_GT(dataset->num_scan_groups(), 2);
+  LoaderPipelineOptions pcr_options;
+  pcr_options.max_epochs = 1;
+  pcr_options.scan_policy = std::make_shared<FixedScanPolicy>(2);
+  expect_exactly_once(dataset.get(), pcr_options, 2);
 }
 
 TEST(LoaderPipelineTest, StageStatsAccountForEveryItemAndByte) {
@@ -222,29 +256,40 @@ TEST(LoaderPipelineTest, StageStatsAccountForEveryItemAndByte) {
 }
 
 TEST(LoaderPipelineTest, FetchFailureSurfacesFromNext) {
-  FakeSource source(16, 1);
-  source.set_fail_fetch_at(5);
-  LoaderPipelineOptions options;
-  options.io_threads = 2;
-  options.decode_threads = 2;
-  options.shuffle = false;
-  LoaderPipeline pipeline(&source, options);
+  // The storage failure surfaces with its own code and message — an
+  // Aborted-coded one too, which must not read as the generic "loader
+  // pipeline stopped" that only Stop() produces.
+  for (const Status& injected :
+       {Status::IOError("injected fetch failure"),
+        Status::Aborted("lease lost on shard")}) {
+    FakeSource source(16, 1);
+    source.set_fail_fetch_at(5);
+    source.set_fetch_failure(injected);
+    LoaderPipelineOptions options;
+    options.io_threads = 2;
+    options.decode_threads = 2;
+    options.shuffle = false;
+    LoaderPipeline pipeline(&source, options);
 
-  Status failure = Status::OK();
-  for (int i = 0; i < 64; ++i) {
-    auto batch = pipeline.Next();
-    if (!batch.ok()) {
-      failure = batch.status();
-      break;
+    Status failure = Status::OK();
+    for (int i = 0; i < 64; ++i) {
+      auto batch = pipeline.Next();
+      if (!batch.ok()) {
+        failure = batch.status();
+        break;
+      }
     }
+    ASSERT_FALSE(failure.ok()) << "fetch failure never surfaced";
+    EXPECT_EQ(failure.code(), injected.code()) << failure;
+    EXPECT_NE(failure.message().find(injected.message()), std::string::npos)
+        << failure;
+    EXPECT_NE(failure.message().find("I/O stage"), std::string::npos)
+        << failure;
+    EXPECT_EQ(failure.message().find("loader pipeline stopped"),
+              std::string::npos)
+        << failure;
+    EXPECT_EQ(pipeline.status(), failure);
   }
-  ASSERT_FALSE(failure.ok()) << "fetch failure never surfaced";
-  EXPECT_TRUE(failure.IsIOError()) << failure;
-  EXPECT_NE(failure.message().find("injected fetch failure"),
-            std::string::npos)
-      << failure;
-  EXPECT_NE(failure.message().find("I/O stage"), std::string::npos) << failure;
-  EXPECT_EQ(pipeline.status(), failure);
 }
 
 TEST(LoaderPipelineTest, AssembleFailureSurfacesFromNext) {
@@ -352,46 +397,6 @@ TEST(LoaderPipelineTest, DecodeOffDeliversAssembledJpegs) {
   EXPECT_EQ(batches, 6);
 }
 
-TEST(LoaderPipelineTest, PrefetchingLoaderAdapterPreservesBehavior) {
-  FakeSource source(32, 2);
-  PrefetchOptions options;
-  options.num_threads = 2;
-  options.queue_depth = 4;
-  options.loader.scan_policy = std::make_shared<FixedScanPolicy>(1);
-  PrefetchingLoader loader(&source, options);
-  for (int i = 0; i < 12; ++i) {
-    auto batch = loader.Next();
-    ASSERT_TRUE(batch.ok()) << batch.status();
-    EXPECT_EQ(batch->scan_group, 1);
-    EXPECT_GT(batch->size(), 0);
-  }
-  loader.Stop();
-  auto stopped = loader.Next();
-  while (stopped.ok()) stopped = loader.Next();
-  EXPECT_EQ(stopped.status().message(), "prefetching loader stopped");
-  EXPECT_GE(loader.batches_delivered(), 12);
-  EXPECT_GE(loader.io_stats().items, 12);
-  EXPECT_GE(loader.decode_stats().items, 12);
-  EXPECT_DOUBLE_EQ(loader.stall_seconds(), loader.io_stall_seconds() +
-                                               loader.decode_stall_seconds());
-}
-
-TEST(LoaderPipelineTest, PrefetchPassesThroughAbortedStageFailures) {
-  // An Aborted-coded *storage* failure must not be rewritten into the
-  // generic "prefetching loader stopped" message: only Stop() is generic.
-  FakeSource source(16, 1);
-  source.set_fail_fetch_at(0);
-  source.set_fetch_failure(Status::Aborted("lease lost on shard"));
-  PrefetchOptions options;
-  options.loader.shuffle = false;
-  PrefetchingLoader loader(&source, options);
-  auto batch = loader.Next();
-  while (batch.ok()) batch = loader.Next();
-  EXPECT_NE(batch.status().message().find("lease lost on shard"),
-            std::string::npos)
-      << batch.status();
-}
-
 TEST(LoaderPipelineTest, SecondEpochIsServedEntirelyFromTheCache) {
   FakeSource source(12, 2);
   DecodeCacheOptions cache_options;
@@ -456,7 +461,9 @@ TEST(LoaderPipelineTest, CachedMultiEpochStreamKeepsExactlyOnceSemantics) {
   options.io_threads = 4;
   options.decode_threads = 4;
   options.max_epochs = 3;
-  options.decode_cache_bytes = 64ull << 20;  // Private cache.
+  DecodeCacheOptions cache_options;
+  cache_options.capacity_bytes = 64ull << 20;
+  options.decode_cache = std::make_shared<DecodeCache>(cache_options);
   options.scan_policy = std::make_shared<FixedScanPolicy>(1);
   LoaderPipeline pipeline(&source, options);
   ASSERT_NE(pipeline.decode_cache(), nullptr);
@@ -493,8 +500,10 @@ TEST(LoaderPipelineTest, OversizeBatchesStreamWithoutCaching) {
   FakeSource source(6, 2);
   LoaderPipelineOptions options;
   options.max_epochs = 2;
-  options.decode_cache_bytes = 1024;  // Every decoded batch exceeds a shard.
-  options.decode_cache_shards = 1;
+  DecodeCacheOptions cache_options;
+  cache_options.capacity_bytes = 1024;  // Every decoded batch exceeds it.
+  cache_options.shards = 1;
+  options.decode_cache = std::make_shared<DecodeCache>(cache_options);
   options.scan_policy = std::make_shared<FixedScanPolicy>(1);
   LoaderPipeline pipeline(&source, options);
 
@@ -518,7 +527,9 @@ TEST(LoaderPipelineTest, DecodeOffDisablesTheCache) {
   FakeSource source(4, 1);
   LoaderPipelineOptions options;
   options.decode = false;
-  options.decode_cache_bytes = 1ull << 20;
+  DecodeCacheOptions cache_options;
+  cache_options.capacity_bytes = 1ull << 20;
+  options.decode_cache = std::make_shared<DecodeCache>(cache_options);
   options.max_epochs = 1;
   LoaderPipeline pipeline(&source, options);
   EXPECT_EQ(pipeline.decode_cache(), nullptr);
@@ -556,32 +567,6 @@ TEST(LoaderPipelineTest, SetScanPolicySwitchesLiveStream) {
     }
   }
   EXPECT_TRUE(saw_new_group) << "live policy swap never took effect";
-}
-
-TEST(LoaderPipelineTest, SynchronousDataLoaderUsesTheCache) {
-  FakeSource source(8, 2);
-  LoaderOptions options;
-  options.decode_cache_bytes = 16ull << 20;
-  options.shuffle = false;
-  DataLoader loader(&source, options);
-  ASSERT_NE(loader.decode_cache(), nullptr);
-
-  auto first = loader.LoadRecord(5, 2);
-  ASSERT_TRUE(first.ok()) << first.status();
-  auto again = loader.LoadRecord(5, 2);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(loader.stats().cache_hits, 1);
-  EXPECT_EQ(loader.stats().records_loaded, 2);
-  ASSERT_EQ(again->size(), first->size());
-  for (int i = 0; i < first->size(); ++i) {
-    EXPECT_EQ(std::memcmp(again->images[i].data(), first->images[i].data(),
-                          first->images[i].size_bytes()),
-              0);
-  }
-  // A different scan group is a different key.
-  auto other = loader.LoadRecord(5, 1);
-  ASSERT_TRUE(other.ok()) << other.status();
-  EXPECT_EQ(loader.stats().cache_hits, 1);
 }
 
 TEST(LoaderPipelineTest, AsyncWindowDeliversExactlyOncePerEpoch) {
@@ -770,7 +755,9 @@ TEST(LoaderPipelineTest, PrivatePrefixCacheTurnsEpochTwoIntoZeroIo) {
   options.fetch_queue_depth = 1;
   options.max_epochs = 2;
   options.shuffle = false;
-  options.prefix_cache_bytes = 16ull << 20;  // Private per-pipeline cache.
+  // A cache only this pipeline reads.
+  options.prefix_cache =
+      std::make_shared<PrefixCache>(PrefixCacheOptions{16ull << 20});
   options.scan_policy = std::make_shared<FixedScanPolicy>(3);
   LoaderPipeline pipeline(&source, options);
   int batches = 0;
@@ -813,21 +800,6 @@ TEST(LoaderPipelineTest, IoBackendGaugesAreReported) {
   EXPECT_EQ(io.syscalls_per_record(), 0.0);
   // The decode stage carries no I/O gauges.
   EXPECT_EQ(pipeline.decode_stats().io_requests, 0);
-}
-
-TEST(LoaderPipelineTest, PrefetchErrorReplacesGenericAbort) {
-  FakeSource source(16, 1);
-  source.set_fail_fetch_at(0);
-  PrefetchOptions options;
-  options.num_threads = 2;
-  options.loader.shuffle = false;
-  PrefetchingLoader loader(&source, options);
-  auto batch = loader.Next();
-  while (batch.ok()) batch = loader.Next();
-  EXPECT_TRUE(batch.status().IsIOError()) << batch.status();
-  EXPECT_NE(batch.status().message().find("injected fetch failure"),
-            std::string::npos)
-      << batch.status();
 }
 
 }  // namespace

@@ -356,12 +356,15 @@ TEST_F(ServeDaemonTest, CompressedModeShipsDecodableJpegs) {
 
 TEST_F(ServeDaemonTest, RejectsBadOpenRequests) {
   auto client = PcrClient::Connect(Socket(), "reject-test").MoveValue();
-  {
-    OpenStreamRequest open;  // Unbounded streams pin admission slots.
+  // Unbounded streams pin admission slots: 0 asks for one outright, and a
+  // count past INT_MAX would wrap negative, which the pipeline also reads as
+  // "stream forever".
+  for (const uint32_t max_epochs : {0u, 1u << 31}) {
+    OpenStreamRequest open;
     open.dataset_dir = dataset_dir_;
-    open.max_epochs = 0;
+    open.max_epochs = max_epochs;
     auto result = client->OpenStream(open);
-    ASSERT_FALSE(result.ok());
+    ASSERT_FALSE(result.ok()) << "max_epochs " << max_epochs;
     EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
   }
   {
