@@ -133,6 +133,48 @@ void BM_DecodeProgressivePrefix(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeProgressivePrefix)->Arg(1)->Arg(2)->Arg(5)->Arg(10);
 
+// The benchmark fixture's shape (DatasetSpec::CelebAHqLike: 256x256, q75,
+// 4:2:0, default 10-scan progressive script), decoded the way a loader
+// decode thread does it: one reused DecodeScratch.
+const std::string& FixtureShapeProgressive() {
+  static const std::string encoded = [] {
+    const DatasetSpec spec = DatasetSpec::CelebAHqLike();
+    jpeg::EncodeOptions options;
+    options.quality = spec.jpeg_quality;
+    const std::string baseline =
+        jpeg::Encode(GenerateImage(spec, 0, spec.seed * 100000), options)
+            .MoveValue();
+    return jpeg::TranscodeToProgressive(baseline).MoveValue();
+  }();
+  return encoded;
+}
+
+void DecodeWithScratch(benchmark::State& state, const std::string& stream) {
+  jpeg::DecodeScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(jpeg::Decode(stream, &scratch).MoveValue());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(stream.size()));
+}
+
+void BM_DecodeFixtureShape(benchmark::State& state) {
+  DecodeWithScratch(state, FixtureShapeProgressive());
+}
+BENCHMARK(BM_DecodeFixtureShape);
+
+// Scan prefixes of the same stream: the differences 5->6 and 9->10 are the
+// cost of the two luma refinement scans that dominate entropy decode.
+void BM_DecodeFixtureShapePrefix(benchmark::State& state) {
+  const std::string& progressive = FixtureShapeProgressive();
+  const auto index = jpeg::IndexScans(progressive).MoveValue();
+  DecodeWithScratch(state,
+                    jpeg::AssemblePrefix(progressive, index,
+                                         static_cast<int>(state.range(0))));
+}
+BENCHMARK(BM_DecodeFixtureShapePrefix)->Arg(5)->Arg(6)->Arg(9)->Arg(10);
+
 void BM_IndexScans(benchmark::State& state) {
   const std::string progressive = SharedProgressive();
   for (auto _ : state) {

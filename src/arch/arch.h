@@ -1,7 +1,8 @@
 // Runtime CPU dispatch for the decode hot-path kernels (ffpic's
-// arch/x86 dispatch-table idiom): the 8x8 fixed-point inverse DCT, the
-// YCbCr->RGB row conversion, the bilinear chroma row upsample and the
-// 0xFF scan used by the entropy reader's word-at-a-time refill.
+// arch/x86 dispatch-table idiom): block dequantization, the 8x8 fixed-point
+// inverse DCT, the YCbCr->RGB row conversion, the bilinear chroma row
+// upsample and the 0xFF scan used by the entropy reader's word-at-a-time
+// refill.
 //
 // Every kernel has a scalar implementation that is the canonical,
 // bit-exactness-defining path (it backs jpeg/dct.cc and image/color.h), plus
@@ -24,6 +25,10 @@
 
 namespace pcr::arch {
 
+/// Largest dequantized coefficient magnitude the fixed-point IDCT accepts
+/// (see jpeg::kMaxDequantizedCoeff); `dequantize` clamps to it.
+inline constexpr int32_t kMaxDequantized = (1 << 23) - 1;
+
 /// Instruction-set tiers, weakest first. Scalar is always available.
 enum class Isa : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 inline constexpr int kNumIsas = 3;
@@ -34,6 +39,12 @@ inline constexpr int kNumIsas = 3;
 struct Kernels {
   Isa isa;
   const char* name;
+
+  /// Dequantizes one natural-order block: out[i] = coeff[i] * quant[i]
+  /// clamped to +/-kMaxDequantized. Returns whether any AC coefficient
+  /// (coeff[1..63]) is nonzero; false means a DC-only block.
+  bool (*dequantize)(const int16_t coeff[64], const uint16_t quant[64],
+                     int32_t out[64]);
 
   /// Fixed-point inverse DCT of one dequantized block straight to clamped
   /// 8-bit samples, rows `out_stride` apart (contract of

@@ -11,18 +11,18 @@ namespace pcr::arch {
 
 namespace {
 
-constexpr Kernels kScalarKernels = {Isa::kScalar,     "scalar",
-                                    &IdctScalar,      &YcbcrRowScalar,
-                                    &UpsampleRowScalar, &FindFfScalar};
+constexpr Kernels kScalarKernels = {
+    Isa::kScalar,    "scalar",        &DequantizeScalar,  &IdctScalar,
+    &YcbcrRowScalar, &UpsampleRowScalar, &FindFfScalar};
 
 #if PCR_ARCH_X86
-constexpr Kernels kSse2Kernels = {Isa::kSse2,       "sse2",
-                                  &IdctSse2,        &YcbcrRowSse2,
-                                  &UpsampleRowSse2, &FindFfSse2};
+constexpr Kernels kSse2Kernels = {
+    Isa::kSse2,    "sse2",          &DequantizeSse2, &IdctSse2,
+    &YcbcrRowSse2, &UpsampleRowSse2, &FindFfSse2};
 
-constexpr Kernels kAvx2Kernels = {Isa::kAvx2,       "avx2",
-                                  &IdctAvx2,        &YcbcrRowAvx2,
-                                  &UpsampleRowAvx2, &FindFfAvx2};
+constexpr Kernels kAvx2Kernels = {
+    Isa::kAvx2,    "avx2",          &DequantizeAvx2, &IdctAvx2,
+    &YcbcrRowAvx2, &UpsampleRowAvx2, &FindFfAvx2};
 #endif
 
 std::atomic<const Kernels*> g_active{nullptr};

@@ -11,6 +11,8 @@
 
 namespace pcr::arch {
 
+bool DequantizeScalar(const int16_t coeff[64], const uint16_t quant[64],
+                      int32_t out[64]);
 void IdctScalar(const int32_t coeff[64], uint8_t* out, int out_stride);
 void YcbcrRowScalar(const uint8_t* y, const uint8_t* cb, const uint8_t* cr,
                     uint8_t* rgb, int n);
@@ -28,6 +30,8 @@ void UpsampleRowSpanScalar(const uint8_t* r0, const uint8_t* r1, int wy1,
 }  // namespace detail
 
 #if PCR_ARCH_X86
+bool DequantizeSse2(const int16_t coeff[64], const uint16_t quant[64],
+                    int32_t out[64]);
 void IdctSse2(const int32_t coeff[64], uint8_t* out, int out_stride);
 void YcbcrRowSse2(const uint8_t* y, const uint8_t* cb, const uint8_t* cr,
                   uint8_t* rgb, int n);
@@ -35,6 +39,8 @@ void UpsampleRowSse2(const uint8_t* r0, const uint8_t* r1, int wy1,
                      uint8_t* out, int out_w, int chroma_w);
 size_t FindFfSse2(const uint8_t* data, size_t n);
 
+bool DequantizeAvx2(const int16_t coeff[64], const uint16_t quant[64],
+                    int32_t out[64]);
 void IdctAvx2(const int32_t coeff[64], uint8_t* out, int out_stride);
 void YcbcrRowAvx2(const uint8_t* y, const uint8_t* cb, const uint8_t* cr,
                   uint8_t* rgb, int n);

@@ -9,6 +9,7 @@
 // path) — and the RGB interleave is two pshufb+or pairs per 8 pixels.
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "arch/idct_consts.h"
@@ -275,11 +276,45 @@ void YcbcrRowAvx2(const uint8_t* y, const uint8_t* cb, const uint8_t* cr,
   if (i < n) YcbcrRowScalar(y + i, cb + i, cr + i, rgb + 3 * i, n - i);
 }
 
+bool DequantizeAvx2(const int16_t coeff[64], const uint16_t quant[64],
+                    int32_t out[64]) {
+  const __m256i hi_limit = _mm256_set1_epi32(kMaxDequantized);
+  const __m256i lo_limit = _mm256_set1_epi32(-kMaxDequantized);
+  for (int i = 0; i < 64; i += 8) {
+    const __m256i c = _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(coeff + i)));
+    const __m256i q = _mm256_cvtepu16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(quant + i)));
+    const __m256i v = _mm256_min_epi32(
+        _mm256_max_epi32(_mm256_mullo_epi32(c, q), lo_limit), hi_limit);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
+  }
+  // AC test over the raw coefficients, with the DC lane masked off.
+  const __m256i c0 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(coeff));
+  const __m256i c1 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(coeff + 16));
+  const __m256i c2 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(coeff + 32));
+  const __m256i c3 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(coeff + 48));
+  const __m256i any = _mm256_or_si256(
+      _mm256_or_si256(
+          _mm256_and_si256(c0, _mm256_setr_epi16(0, -1, -1, -1, -1, -1, -1,
+                                                 -1, -1, -1, -1, -1, -1, -1,
+                                                 -1, -1)),
+          c1),
+      _mm256_or_si256(c2, c3));
+  return !_mm256_testz_si256(any, any);
+}
+
 void UpsampleRowAvx2(const uint8_t* r0, const uint8_t* r1, int wy1,
                      uint8_t* out, int out_w, int chroma_w) {
-  constexpr int kV = 16;  // Chroma positions per iteration (2*kV outputs).
+  constexpr int kV = 16;  // Chroma positions per step (2*kV outputs).
+  // Same step geometry as UpsampleRowSse2.
+  const int k_last = std::min(chroma_w - 1, out_w / 2) - kV;
   int i = 0;
-  if (out_w > 2 && chroma_w >= kV + 2) {
+  if (k_last >= 1) {
     detail::UpsampleRowSpanScalar(r0, r1, wy1, out, 0, 2, chroma_w);
     const __m256i w0 = _mm256_set1_epi16(static_cast<short>(4 - wy1));
     const __m256i w1 = _mm256_set1_epi16(static_cast<short>(wy1));
@@ -293,8 +328,7 @@ void UpsampleRowAvx2(const uint8_t* r0, const uint8_t* r1, int wy1,
       return _mm256_add_epi16(_mm256_mullo_epi16(a, w0),
                               _mm256_mullo_epi16(b, w1));
     };
-    int k = 1;
-    for (; k + kV <= chroma_w - 1 && 2 * (k + kV) <= out_w; k += kV) {
+    const auto step = [&](int k) {
       const __m256i ta = blend(k - 1);
       const __m256i tb = blend(k);
       const __m256i tc = blend(k + 1);
@@ -311,8 +345,11 @@ void UpsampleRowAvx2(const uint8_t* r0, const uint8_t* r1, int wy1,
                        _mm_unpacklo_epi8(plo, _mm_srli_si128(plo, 8)));
       _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 2 * k + 16),
                        _mm_unpacklo_epi8(phi, _mm_srli_si128(phi, 8)));
-    }
-    i = 2 * k;
+    };
+    int k = 1;
+    for (; k < k_last; k += kV) step(k);
+    step(k_last);  // Overlaps the previous step rather than going scalar.
+    i = 2 * (k_last + kV);
   }
   detail::UpsampleRowSpanScalar(r0, r1, wy1, out, i, out_w, chroma_w);
 }

@@ -11,6 +11,20 @@
 
 namespace pcr::arch {
 
+bool DequantizeScalar(const int16_t coeff[64], const uint16_t quant[64],
+                      int32_t out[64]) {
+  int ac = 0;
+  for (int i = 0; i < 64; ++i) {
+    // |int16 * uint16| < 2^31: the product itself never overflows.
+    const int32_t v = static_cast<int32_t>(coeff[i]) * quant[i];
+    out[i] = v < -kMaxDequantized
+                 ? -kMaxDequantized
+                 : (v > kMaxDequantized ? kMaxDequantized : v);
+    ac |= i > 0 ? coeff[i] : 0;
+  }
+  return ac != 0;
+}
+
 void IdctScalar(const int32_t coeff[64], uint8_t* out, int out_stride) {
   using namespace idct;  // NOLINT(build/namespaces)
   int64_t ws[64];  // Column-pass output, scaled by 2^kPass1Bits.

@@ -16,6 +16,7 @@
 // outside [0, 255].
 #include <emmintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "arch/idct_consts.h"
@@ -250,11 +251,49 @@ void YcbcrRowSse2(const uint8_t* y, const uint8_t* cb, const uint8_t* cr,
   if (i < n) YcbcrRowScalar(y + i, cb + i, cr + i, rgb + 3 * i, n - i);
 }
 
+bool DequantizeSse2(const int16_t coeff[64], const uint16_t quant[64],
+                    int32_t out[64]) {
+  // Exact int16 x uint16 -> int32 products from 16-bit halves: the high
+  // half of the unsigned product over-counts by quant wherever coeff < 0.
+  const __m128i hi_limit = _mm_set1_epi32(kMaxDequantized);
+  const __m128i lo_limit = _mm_set1_epi32(-kMaxDequantized);
+  const auto clamp = [&](__m128i v) {
+    const __m128i above = _mm_cmpgt_epi32(v, hi_limit);
+    v = _mm_or_si128(_mm_and_si128(above, hi_limit),
+                     _mm_andnot_si128(above, v));
+    const __m128i below = _mm_cmpgt_epi32(lo_limit, v);
+    return _mm_or_si128(_mm_and_si128(below, lo_limit),
+                        _mm_andnot_si128(below, v));
+  };
+  const __m128i no_dc = _mm_setr_epi16(0, -1, -1, -1, -1, -1, -1, -1);
+  __m128i ac = _mm_setzero_si128();
+  for (int i = 0; i < 64; i += 8) {
+    const __m128i c =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(coeff + i));
+    const __m128i q =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(quant + i));
+    const __m128i lo = _mm_mullo_epi16(c, q);
+    const __m128i hi = _mm_sub_epi16(
+        _mm_mulhi_epu16(c, q), _mm_and_si128(q, _mm_srai_epi16(c, 15)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                     clamp(_mm_unpacklo_epi16(lo, hi)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 4),
+                     clamp(_mm_unpackhi_epi16(lo, hi)));
+    ac = _mm_or_si128(ac, i == 0 ? _mm_and_si128(c, no_dc) : c);
+  }
+  return _mm_movemask_epi8(_mm_cmpeq_epi8(ac, _mm_setzero_si128())) !=
+         0xffff;
+}
+
 void UpsampleRowSse2(const uint8_t* r0, const uint8_t* r1, int wy1,
                      uint8_t* out, int out_w, int chroma_w) {
-  constexpr int kV = 8;  // Chroma positions per iteration (2*kV outputs).
+  constexpr int kV = 8;  // Chroma positions per step (2*kV outputs).
+  // For outputs 2k'/2k'+1 the taps are k'-1, k', k'+1 — unclamped while k'
+  // stays in [1, chroma_w - 2]. A step at k covers k' in [k, k + kV), so
+  // the last step that stays unclamped and inside the row starts here.
+  const int k_last = std::min(chroma_w - 1, out_w / 2) - kV;
   int i = 0;
-  if (out_w > 2 && chroma_w >= kV + 2) {
+  if (k_last >= 1) {
     detail::UpsampleRowSpanScalar(r0, r1, wy1, out, 0, 2, chroma_w);
     const __m128i zero = _mm_setzero_si128();
     const __m128i w0 = _mm_set1_epi16(static_cast<short>(4 - wy1));
@@ -268,10 +307,7 @@ void UpsampleRowSse2(const uint8_t* r0, const uint8_t* r1, int wy1,
           _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r1 + k)), zero);
       return _mm_add_epi16(_mm_mullo_epi16(a, w0), _mm_mullo_epi16(b, w1));
     };
-    int k = 1;
-    // Interior: for outputs 2k'/2k'+1 the taps are k'-1, k', k'+1 —
-    // unclamped while k' stays in [1, chroma_w - 2].
-    for (; k + kV <= chroma_w - 1 && 2 * (k + kV) <= out_w; k += kV) {
+    const auto step = [&](int k) {
       const __m128i ta = blend(k - 1);
       const __m128i tb = blend(k);
       const __m128i tc = blend(k + 1);
@@ -283,8 +319,11 @@ void UpsampleRowSse2(const uint8_t* r0, const uint8_t* r1, int wy1,
       const __m128i p = _mm_packus_epi16(even, odd);
       const __m128i inter = _mm_unpacklo_epi8(p, _mm_srli_si128(p, 8));
       _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 2 * k), inter);
-    }
-    i = 2 * k;
+    };
+    int k = 1;
+    for (; k < k_last; k += kV) step(k);
+    step(k_last);  // Overlaps the previous step rather than going scalar.
+    i = 2 * (k_last + kV);
   }
   detail::UpsampleRowSpanScalar(r0, r1, wy1, out, i, out_w, chroma_w);
 }

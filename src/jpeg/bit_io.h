@@ -135,6 +135,10 @@ class BitReader {
   /// True once a read has run past the end of the entropy data.
   bool Exhausted() const { return exhausted_; }
 
+  /// Input bytes taken so far. The reader never passes a marker, so no
+  /// marker starts before this offset.
+  size_t position() const { return pos_; }
+
  private:
   // Tops the accumulator up to > 56 buffered bits (or until the entropy
   // data ends at a marker / end of input), collapsing 0xFF00 stuffing.

@@ -55,6 +55,9 @@ struct DecodeResult {
 /// per thread.
 struct DecodeScratch {
   CoeffImage coeffs;
+  /// One bit per zigzag position of every coefficient block, set where the
+  /// coefficient is nonzero; drives the progressive refinement scans.
+  std::vector<uint64_t> nonzero_masks;
   PlanarImage planar;
   ColorScratch color;
 };

@@ -14,6 +14,8 @@
 
 #include <cstdint>
 
+#include "arch/arch.h"
+
 namespace pcr::jpeg {
 
 /// Forward DCT of an 8x8 spatial block (level-shifted samples, i.e. centered
@@ -24,10 +26,11 @@ void ForwardDct8x8(const double in[64], double out[64]);
 void InverseDct8x8(const double in[64], double out[64]);
 
 /// Largest dequantized coefficient magnitude the fixed-point path accepts;
-/// inputs beyond this must be clamped by the caller (DequantizeBlock does).
+/// inputs beyond this must be clamped by the caller (DequantizeBlock and
+/// arch::Kernels::dequantize do).
 /// Any legitimate 8-bit JPEG stays far below it: |coefficient| <= 2048 + q/2
 /// < 2^16 even with 16-bit quantizers, so only corrupt streams clamp.
-inline constexpr int32_t kMaxDequantizedCoeff = (1 << 23) - 1;
+inline constexpr int32_t kMaxDequantizedCoeff = arch::kMaxDequantized;
 
 /// Fixed-point inverse DCT of one dequantized coefficient block (natural
 /// row-major order, every entry within +/-kMaxDequantizedCoeff) straight to

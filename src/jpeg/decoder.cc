@@ -1,7 +1,8 @@
 // Production JPEG decode path: DecoderT instantiated with the buffered
 // 64-bit BitReader (table-driven Huffman via HuffTable::DecodeSymbol) and an
-// allocation-free renderer — fixed-point IDCT with an all-AC-zero
-// short-circuit, integer chroma upsample and table-driven color conversion.
+// allocation-free renderer — dispatched dequantization that flags DC-only
+// blocks for a flat fill, fixed-point IDCT, integer chroma upsample and
+// table-driven color conversion.
 // The spec state machine itself lives in decoder_impl.h, shared with the
 // reference decoder (reference_codec.cc) that the parity tests diff against.
 #include <algorithm>
@@ -21,6 +22,7 @@ using FastDecoder = internal::DecoderT<BitReader>;
 // IDCT straight into the plane at its stride; edge blocks go through an
 // 8x8 staging buffer; all-AC-zero blocks flat-fill without a transform
 // (bit-exact with the general path by construction of InverseDct8x8Fixed).
+// The dequantize kernel matches the reference renderer's DequantizeBlock.
 void RenderComponent(const ComponentInfo& info, const QuantTable& qtbl,
                      const CoeffImage& coeffs, int comp, Plane* plane) {
   const arch::Kernels& k = arch::Active();
@@ -36,13 +38,10 @@ void RenderComponent(const ComponentInfo& info, const QuantTable& qtbl,
       const CoeffBlock& block = coeffs.block(comp, bx, by);
       uint8_t* dst = plane->data() + static_cast<size_t>(y0) * stride + x0;
 
-      if (internal::AcAllZero(block)) {
+      if (!k.dequantize(block.data(), qtbl.data(), dq)) {
         // DC-only block: one descale, flat fill. Equals what the IDCT
         // produces for this input, so the fast path changes no pixel.
-        const int64_t dc =
-            std::clamp<int64_t>(static_cast<int64_t>(block[0]) * qtbl[0],
-                                -kMaxDequantizedCoeff, kMaxDequantizedCoeff);
-        const int64_t level = ((dc + 4) >> 3) + 128;
+        const int32_t level = ((dq[0] + 4) >> 3) + 128;
         const uint8_t v =
             level < 0 ? 0 : (level > 255 ? 255 : static_cast<uint8_t>(level));
         for (int y = 0; y < y_limit; ++y) {
@@ -52,7 +51,6 @@ void RenderComponent(const ComponentInfo& info, const QuantTable& qtbl,
         continue;
       }
 
-      internal::DequantizeBlock(block, qtbl, dq);
       if (x_limit == 8 && y_limit == 8) {
         k.idct8x8(dq, dst, stride);
       } else {

@@ -9,10 +9,18 @@
 // bit-by-bit canonical Huffman walk) run the exact same spec logic and can
 // be diffed block by block in the parity tests. Internal header: include
 // from jpeg/*.cc only.
+//
+// One part differs by reader: the BitReader instantiation keeps a per-block
+// mask of nonzero coefficients (zigzag order) and runs the AC refinement
+// scans from it — rank-select to the insertion point, bulk correction bits —
+// while every other reader keeps the spec's per-position walk, so the parity
+// suite still diffs two independent refinement implementations.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <type_traits>
+#include <vector>
 
 #include "jpeg/bit_io.h"
 #include "jpeg/codec.h"
@@ -35,8 +43,9 @@ int DecodeHuffSymbol(const HuffTable& table, Reader* reader) {
 }
 
 /// Dequantizes one block into natural order, clamping into the fixed-point
-/// IDCT's safe input range (only corrupt streams ever clamp). Shared by the
-/// fast and reference renderers so both feed the IDCT identical inputs.
+/// IDCT's safe input range (only corrupt streams ever clamp). The reference
+/// renderer's definition; the fast one calls arch::Kernels::dequantize,
+/// which must match it.
 inline void DequantizeBlock(const CoeffBlock& block, const QuantTable& qtbl,
                             int32_t out[64]) {
   for (int i = 0; i < 64; ++i) {
@@ -44,15 +53,6 @@ inline void DequantizeBlock(const CoeffBlock& block, const QuantTable& qtbl,
         static_cast<int32_t>(block[i]) * static_cast<int32_t>(qtbl[i]);
     out[i] = std::clamp(v, -kMaxDequantizedCoeff, kMaxDequantizedCoeff);
   }
-}
-
-/// True when every AC coefficient of the block is zero — the common case
-/// for low progressive scan prefixes, short-circuited to a flat fill.
-inline bool AcAllZero(const CoeffBlock& block) {
-  for (int i = 1; i < 64; ++i) {
-    if (block[i] != 0) return false;
-  }
-  return true;
 }
 
 template <class Reader>
@@ -66,6 +66,7 @@ template <class EntropyReader>
 class DecoderT {
  public:
   static constexpr int kMaxComponents = 4;
+  static constexpr bool kMasked = std::is_same_v<EntropyReader, BitReader>;
 
   /// `scratch` may be null (self-owned coefficient storage). With scratch,
   /// coefficient planes live in scratch->coeffs and are reused across
@@ -150,11 +151,25 @@ class DecoderT {
   bool DecodeDcRefine(EntropyReader* reader, const ScanSpec& scan,
                       CoeffBlock* block);
   bool DecodeAcFirst(EntropyReader* reader, const ScanSpec& scan, int ci,
-                     CoeffBlock* block);
+                     CoeffBlock* block, uint64_t* nonzero);
   bool DecodeAcRefine(EntropyReader* reader, const ScanSpec& scan, int ci,
                       CoeffBlock* block);
+  bool DecodeAcRefineMasked(EntropyReader* reader, const ScanSpec& scan,
+                            int ci, CoeffBlock* block, uint64_t* nonzero);
   bool DecodeBlock(EntropyReader* reader, const ScanSpec& scan, int ci,
-                   CoeffBlock* block);
+                   int bx, int by);
+
+  // Nonzero mask of block (bx, by) of component ci; null without masks.
+  uint64_t* NonzeroMask(int ci, int bx, int by) {
+    if constexpr (kMasked) {
+      return masks_->data() + mask_base_[ci] +
+             static_cast<size_t>(by) *
+                 frame_.components[ci].width_blocks_padded +
+             bx;
+    } else {
+      return nullptr;
+    }
+  }
 
   const HuffTable* DcTable(int ci) const {
     const int slot = dc_slot_[ci];
@@ -190,6 +205,10 @@ class DecoderT {
   uint8_t ac_valid_ = 0;
   CoeffImage own_coeffs_;          // Used when no scratch is supplied.
   CoeffImage* coeffs_ = nullptr;   // Active storage (scratch or own).
+  // Nonzero masks (kMasked only), one per block, laid out like coeffs_.
+  std::vector<uint64_t> own_masks_;
+  std::vector<uint64_t>* masks_ = nullptr;
+  std::array<size_t, kMaxComponents> mask_base_{};
 
   std::array<int, kMaxComponents> dc_slot_{};  // From the current SOS.
   std::array<int, kMaxComponents> ac_slot_{};
@@ -300,6 +319,16 @@ Status DecoderT<EntropyReader>::ParseSof(Slice payload, bool progressive) {
   frame_.ComputeGeometry();
   coeffs_ = scratch_ != nullptr ? &scratch_->coeffs : &own_coeffs_;
   coeffs_->Reset(frame_);
+  if constexpr (kMasked) {
+    masks_ = scratch_ != nullptr ? &scratch_->nonzero_masks : &own_masks_;
+    size_t total = 0;
+    for (int c = 0; c < num_comps; ++c) {
+      mask_base_[c] = total;
+      total += static_cast<size_t>(frame_.components[c].width_blocks_padded) *
+               frame_.components[c].height_blocks_padded;
+    }
+    masks_->assign(total, 0);
+  }
   for (int c = 0; c < num_comps; ++c) {
     coeff_al_[c].fill(99);
     coeff_seen_[c].fill(false);
@@ -455,7 +484,8 @@ bool DecoderT<EntropyReader>::DecodeDcRefine(EntropyReader* reader,
 template <class EntropyReader>
 bool DecoderT<EntropyReader>::DecodeAcFirst(EntropyReader* reader,
                                             const ScanSpec& scan, int ci,
-                                            CoeffBlock* block) {
+                                            CoeffBlock* block,
+                                            uint64_t* nonzero) {
   if (eob_run_ > 0) {
     --eob_run_;
     return true;
@@ -484,7 +514,13 @@ bool DecoderT<EntropyReader>::DecodeAcFirst(EntropyReader* reader,
       }
       const int v = ReceiveExtend(reader, size);
       if (reader->Exhausted()) return false;
-      (*block)[kZigzag[k]] = static_cast<int16_t>(v * (1 << scan.al));
+      const int16_t stored = static_cast<int16_t>(v * (1 << scan.al));
+      (*block)[kZigzag[k]] = stored;
+      if constexpr (kMasked) {
+        // From the stored value: in a corrupt stream v << al can wrap to 0.
+        const uint64_t bit = uint64_t{1} << k;
+        *nonzero = (*nonzero & ~bit) | (stored != 0 ? bit : 0);
+      }
       ++k;
     } else {
       if (r == 15) {
@@ -586,10 +622,174 @@ bool DecoderT<EntropyReader>::DecodeAcRefine(EntropyReader* reader,
   return true;
 }
 
+// Broadword rank/select for the nonzero masks. The jpeg layer builds for
+// baseline x86-64, where neither POPCNT nor BMI2 (pdep) can be assumed and
+// __builtin_popcountll is a libgcc call, so both are spelled in plain
+// 64-bit arithmetic (Vigna, "Broadword implementation of rank/select
+// queries").
+inline constexpr uint64_t kBytesOf1 = 0x0101010101010101ull;
+
+/// Byte i of the result holds the number of set bits in bytes 0..i of x.
+inline uint64_t RunningByteCounts(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  return ((x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full) * kBytesOf1;
+}
+
+inline int PopCount64(uint64_t x) {
+  return static_cast<int>(RunningByteCounts(x) >> 56);
+}
+
+/// kSelectInByte[k * 256 + b]: position of the (k+1)-th set bit of byte b.
+struct SelectInByteTable {
+  uint8_t pos[8 * 256] = {};
+  constexpr SelectInByteTable() {
+    for (int b = 0; b < 256; ++b) {
+      int k = 0;
+      for (int bit = 0; bit < 8; ++bit) {
+        if ((b >> bit) & 1) pos[k++ * 256 + b] = static_cast<uint8_t>(bit);
+      }
+    }
+  }
+};
+inline constexpr SelectInByteTable kSelectInByte;
+
+/// The (k+1)-th lowest set bit of x as a one-bit mask, or 0 when x has at
+/// most k set bits. k in [0, 63]. Branch-free but for the overflow test.
+inline uint64_t SelectBit(uint64_t x, int k) {
+  const uint64_t counts = RunningByteCounts(x);
+  if (static_cast<int>(counts >> 56) <= k) return 0;
+  // High bit of byte i set <=> the wanted bit lies beyond byte i.
+  const uint64_t beyond =
+      ((static_cast<uint64_t>(k) * kBytesOf1) | (kBytesOf1 << 7)) - counts;
+  const int byte_shift =
+      static_cast<int>((((beyond >> 7) & kBytesOf1) * kBytesOf1) >> 56) * 8;
+  const int rank_in_byte =
+      k - static_cast<int>(((counts << 8) >> byte_shift) & 0xff);
+  const int byte = static_cast<int>((x >> byte_shift) & 0xff);
+  return uint64_t{1}
+         << (byte_shift + kSelectInByte.pos[rank_in_byte * 256 + byte]);
+}
+
+/// Applies one correction bit to each coefficient at the zigzag positions
+/// set in `positions` (all nonzero), lowest position first, the same bits
+/// and order as the spec walk. Bits come in words of up to kMaxPeekBits
+/// while the reader holds them; once it is drained they come one at a time,
+/// so a truncated stream stops after the same correction as the spec walk.
+/// Returns false on exhaustion.
+inline bool ApplyCorrectionBits(BitReader* reader, uint64_t positions,
+                                int p1, CoeffBlock* block) {
+  const auto correct = [&](int bit) {
+    int16_t& coef = (*block)[kZigzag[__builtin_ctzll(positions)]];
+    positions &= positions - 1;
+    // coef += bit && !(coef & p1) ? (coef >= 0 ? p1 : -p1) : 0, branchless.
+    const int v = coef;
+    const int sign = v >> 31;
+    const int apply = bit & static_cast<int>((v & p1) == 0);
+    coef = static_cast<int16_t>(v + (((p1 ^ sign) - sign) & -apply));
+  };
+  if (positions == 0) return true;
+  int n = PopCount64(positions);
+  while (n > 0) {
+    const int chunk = std::min(n, BitReader::kMaxPeekBits);
+    if (reader->BitsAvailable() < chunk) {
+      while (positions != 0) {
+        const int bit = reader->ReadBit();
+        if (reader->Exhausted()) return false;
+        correct(bit);
+      }
+      return true;
+    }
+    const uint32_t bits = reader->ReadBits(chunk);
+    for (int i = chunk - 1; i >= 0; --i) {
+      correct(static_cast<int>((bits >> i) & 1));
+    }
+    n -= chunk;
+  }
+  return true;
+}
+
+// DecodeAcRefine over the block's nonzero mask: `ahead` holds the band
+// positions at or past the cursor, the insertion point after a run of r is
+// the (r+1)-th zero-history position ahead, and the nonzero positions passed
+// on the way take their correction bits in bulk. An EOB-run block costs
+// O(nonzeros) instead of a walk over the whole band.
+template <class EntropyReader>
+bool DecoderT<EntropyReader>::DecodeAcRefineMasked(EntropyReader* reader,
+                                                   const ScanSpec& scan,
+                                                   int ci, CoeffBlock* block,
+                                                   uint64_t* nonzero) {
+  const int p1 = 1 << scan.al;
+  uint64_t ahead =
+      (~uint64_t{0} >> (63 - scan.se)) & (~uint64_t{0} << scan.ss);
+
+  if (eob_run_ == 0) {
+    const HuffTable* ac = AcTable(ci);
+    if (ac == nullptr) {
+      scan_error_ = Status::Corruption("scan references undefined AC table");
+      return false;
+    }
+    while (ahead != 0) {
+      int bit = -1;
+      const int rs = ac->DecodeRefineSymbol(reader, &bit);
+      if (rs < 0) {
+        if (!reader->Exhausted()) {
+          scan_error_ = Status::Corruption("bad AC refine symbol");
+        }
+        return false;
+      }
+      const int r = rs >> 4;
+      const int size = rs & 15;
+      int pending = 0;
+      if (size != 0) {
+        if (size != 1) {
+          scan_error_ = Status::Corruption("AC refine: size != 1");
+          return false;
+        }
+        if (bit < 0) {
+          bit = reader->ReadBit();
+          if (reader->Exhausted()) return false;
+        }
+        pending = bit ? p1 : -p1;
+      } else if (r != 15) {
+        eob_run_ = 1 << r;
+        if (r > 0) {
+          eob_run_ += static_cast<int>(reader->ReadBits(r));
+          if (reader->Exhausted()) return false;
+        }
+        break;
+      }
+      // Skip r zero-history positions (a ZRL skips 16: r = 15 plus the
+      // stop); `stop` is the position after them, 0 when the band ends
+      // first, in which case every position ahead is passed.
+      const uint64_t stop = SelectBit(ahead & ~*nonzero, r);
+      const uint64_t passed = ahead & (stop - 1);
+      if (!ApplyCorrectionBits(reader, *nonzero & passed, p1, block)) {
+        return false;
+      }
+      if (pending != 0 && stop != 0) {
+        (*block)[kZigzag[__builtin_ctzll(stop)]] =
+            static_cast<int16_t>(pending);
+        *nonzero |= stop;
+      }
+      ahead &= ~(passed | stop);
+    }
+  }
+
+  if (eob_run_ > 0) {
+    if (!ApplyCorrectionBits(reader, *nonzero & ahead, p1, block)) {
+      return false;
+    }
+    --eob_run_;
+  }
+  return true;
+}
+
 template <class EntropyReader>
 bool DecoderT<EntropyReader>::DecodeBlock(EntropyReader* reader,
                                           const ScanSpec& scan, int ci,
-                                          CoeffBlock* block) {
+                                          int bx, int by) {
+  CoeffBlock* block = &coeffs_->block(ci, bx, by);
   if (!frame_.progressive) {
     return DecodeBaselineBlock(reader, scan, ci, block);
   }
@@ -597,8 +797,15 @@ bool DecoderT<EntropyReader>::DecodeBlock(EntropyReader* reader,
     return scan.ah == 0 ? DecodeDcFirst(reader, scan, ci, block)
                         : DecodeDcRefine(reader, scan, block);
   }
-  return scan.ah == 0 ? DecodeAcFirst(reader, scan, ci, block)
-                      : DecodeAcRefine(reader, scan, ci, block);
+  if (scan.ah == 0) {
+    return DecodeAcFirst(reader, scan, ci, block, NonzeroMask(ci, bx, by));
+  }
+  if constexpr (kMasked) {
+    return DecodeAcRefineMasked(reader, scan, ci, block,
+                                NonzeroMask(ci, bx, by));
+  } else {
+    return DecodeAcRefine(reader, scan, ci, block);
+  }
 }
 
 template <class EntropyReader>
@@ -620,9 +827,8 @@ Status DecoderT<EntropyReader>::DecodeScanData(const ScanSpec& scan) {
           const auto& comp = frame_.components[ci];
           for (int v = 0; v < comp.v_samp && ok; ++v) {
             for (int h = 0; h < comp.h_samp && ok; ++h) {
-              ok = DecodeBlock(&reader, scan, ci,
-                               &coeffs_->block(ci, mx * comp.h_samp + h,
-                                               my * comp.v_samp + v));
+              ok = DecodeBlock(&reader, scan, ci, mx * comp.h_samp + h,
+                               my * comp.v_samp + v);
             }
           }
         }
@@ -633,7 +839,7 @@ Status DecoderT<EntropyReader>::DecodeScanData(const ScanSpec& scan) {
     const auto& comp = frame_.components[ci];
     for (int by = 0; by < comp.height_blocks && ok; ++by) {
       for (int bx = 0; bx < comp.width_blocks && ok; ++bx) {
-        ok = DecodeBlock(&reader, scan, ci, &coeffs_->block(ci, bx, by));
+        ok = DecodeBlock(&reader, scan, ci, bx, by);
       }
     }
   }
@@ -646,8 +852,10 @@ Status DecoderT<EntropyReader>::DecodeScanData(const ScanSpec& scan) {
     NoteScanProgress(scan);
   }
 
-  // Advance to the next marker, whether or not the scan completed.
-  size_t p = pos_;
+  // Advance to the next marker, whether or not the scan completed. The
+  // reader stops at a marker and passes only data bytes and stuffed 0xFF00
+  // pairs, so no marker lies before its position.
+  size_t p = pos_ + reader.position();
   while (p + 1 < data_.size()) {
     if (Byte(p) == 0xff && Byte(p + 1) != 0x00) break;
     ++p;

@@ -61,6 +61,28 @@ class HuffTable {
     return DecodeSymbolBitwise(reader);
   }
 
+  /// DecodeSymbol for successive-approximation AC refinement scans, where a
+  /// size-1 symbol is always followed by one sign bit: when the code plus
+  /// that bit fit in the lookup window, one Peek yields both. Stores the
+  /// sign bit in *bit when it was read here and -1 otherwise (the caller
+  /// then reads it). Same -1 / Exhausted() contract as DecodeSymbol.
+  int DecodeRefineSymbol(BitReader* reader, int* bit) const {
+    const uint32_t peek = reader->Peek(kLookupBits);
+    const uint16_t entry = lut_[peek];
+    const int len = entry >> 8;
+    *bit = -1;
+    if (entry == 0) return DecodeSymbolBitwise(reader);
+    if ((entry & 15) == 1 && len < kLookupBits) {
+      reader->Consume(len + 1);
+      if (reader->Exhausted()) return -1;
+      *bit = static_cast<int>((peek >> (kLookupBits - 1 - len)) & 1);
+      return entry & 0xff;
+    }
+    reader->Consume(len);
+    if (reader->Exhausted()) return -1;
+    return entry & 0xff;
+  }
+
   /// Reference decode path: the canonical bit-by-bit walk of F.2.2.3, one
   /// ReadBit per code bit, usable with any reader exposing ReadBit() and
   /// Exhausted(). Same -1 / Exhausted() contract as DecodeSymbol.

@@ -46,6 +46,9 @@ class ReferenceBitReader {
 
   bool Exhausted() const { return exhausted_; }
 
+  /// Input bytes taken so far (same contract as BitReader::position).
+  size_t position() const { return pos_; }
+
  private:
   bool FillByte() {
     while (pos_ < data_.size()) {

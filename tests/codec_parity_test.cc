@@ -3,8 +3,8 @@
 // render with reusable scratch) must be bit-exact — coefficients AND pixels
 // — with the ReferenceCodec oracle (byte-at-a-time bit reader, bit-by-bit
 // canonical Huffman walk, straight-line per-pixel render) on every scan
-// script and subsampling mode, for complete streams, every scan prefix, and
-// byte-granular truncations.
+// script and subsampling mode, for complete streams, every scan prefix,
+// byte-granular truncations, and seeded corrupt mutants.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -113,8 +113,9 @@ void ExpectPixelsEqual(const Image& fast, const Image& ref,
       << label;
 }
 
-void ExpectParity(Slice stream, const std::string& label) {
-  auto fast = DecodeFull(stream);
+void ExpectParity(Slice stream, const std::string& label,
+                  DecodeScratch* scratch = nullptr) {
+  auto fast = DecodeFull(stream, scratch);
   auto ref = ReferenceCodec::DecodeFull(stream);
   ASSERT_EQ(fast.ok(), ref.ok()) << label << " fast=" << fast.status()
                                  << " ref=" << ref.status();
@@ -216,6 +217,68 @@ TEST(CodecParity, ByteGranularTruncationAgrees) {
   for (size_t n : cuts) {
     ExpectParity(Slice(encoded.data(), n),
                  "truncated at " + std::to_string(n));
+  }
+}
+
+// Seeded mutants of progressive streams: bit flips, byte truncations, and
+// rewritten SOS Ss/Se/Ah/Al bytes (refinement scans over the wrong history,
+// bands that overlap or skip). Both paths must agree on every outcome; the
+// fast path decodes through one DecodeScratch reused across all mutants.
+// This guards the fast path's per-block nonzero masks on corrupt input.
+TEST(CodecParity, SeededMutantsAgree) {
+  const Image img = MakeTestImage(40, 32, true, 2024);
+  std::vector<std::string> bases;
+  for (const auto& script :
+       {std::vector<ScanSpec>{}, DeepRefinementScript(3)}) {
+    EncodeOptions options;
+    options.quality = 75;
+    options.progressive = true;
+    options.scan_script = script;
+    bases.push_back(Encode(img, options).MoveValue());
+  }
+  DecodeScratch scratch;
+  Rng rng(0x5eed);
+  constexpr int kMutantsPerBase = 1000;
+  for (size_t b = 0; b < bases.size(); ++b) {
+    const std::string& base = bases[b];
+    // Offset of the Ss byte of every SOS segment; Se and Ah/Al follow it.
+    std::vector<size_t> sos_ss;
+    for (size_t i = 0; i + 4 < base.size(); ++i) {
+      const size_t ss = i + 5 + 2 * static_cast<uint8_t>(base[i + 4]);
+      if (static_cast<uint8_t>(base[i]) == 0xff &&
+          static_cast<uint8_t>(base[i + 1]) == 0xda && ss + 2 < base.size()) {
+        sos_ss.push_back(ss);
+      }
+    }
+    ASSERT_FALSE(sos_ss.empty());
+    for (int m = 0; m < kMutantsPerBase; ++m) {
+      std::string s = base;
+      switch (rng.Uniform(3)) {
+        case 0:
+          for (uint64_t n = 1 + rng.Uniform(3); n > 0; --n) {
+            s[rng.Uniform(s.size())] ^= static_cast<char>(1 << rng.Uniform(8));
+          }
+          break;
+        case 1: {
+          const size_t at = sos_ss[rng.Uniform(sos_ss.size())];
+          const uint64_t which = rng.Uniform(3);
+          // Half the Al values are 12..15, where v << Al wraps an int16
+          // coefficient to 0 for v a multiple of 2^(16 - Al).
+          const uint64_t al =
+              rng.Uniform(2) ? rng.Uniform(4) : 12 + rng.Uniform(4);
+          s[at + which] = static_cast<char>(
+              which < 2 ? rng.Uniform(64) : (rng.Uniform(4) << 4) | al);
+          break;
+        }
+        default:
+          s.resize(rng.Uniform(s.size()));
+          break;
+      }
+      if (rng.Uniform(4) == 0) s.resize(rng.Uniform(s.size() + 1));
+      ExpectParity(s, "base " + std::to_string(b) + " mutant " +
+                          std::to_string(m), &scratch);
+      if (HasFailure()) return;
+    }
   }
 }
 

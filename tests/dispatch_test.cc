@@ -4,6 +4,7 @@
 // suite then leans on when CI forces each path in turn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -41,6 +42,7 @@ TEST(DispatchTest, ScalarAlwaysSupportedAndDetectionIsExecutable) {
   // scalar fallback on non-x86 builds) and internally consistent.
   const arch::Kernels& k = arch::KernelsFor(best);
   EXPECT_STREQ(k.name, arch::IsaName(k.isa));
+  EXPECT_NE(k.dequantize, nullptr);
   EXPECT_NE(k.idct8x8, nullptr);
   EXPECT_NE(k.ycbcr_row, nullptr);
   EXPECT_NE(k.upsample_row, nullptr);
@@ -191,6 +193,54 @@ void FillBlock(Rng* rng, int select, int32_t block[64]) {
   }
 }
 
+// Dequantization: the scalar kernel against the int64 definition, every
+// SIMD tier against scalar. Blocks range from DC-only (the flat-fill
+// signal) through one stray AC term to dense extremes that clamp.
+TEST(DispatchTest, DequantizeKernelsMatchDefinition) {
+  const std::vector<Isa> tiers = SupportedSimdTiers();
+  Rng rng(0xde9a);
+  int16_t coeff[64];
+  uint16_t quant[64];
+  for (int n = 0; n < 5000; ++n) {
+    const int shape = n % 4;
+    for (int i = 0; i < 64; ++i) {
+      quant[i] = static_cast<uint16_t>(
+          shape == 3 ? rng.Uniform(65536) : 1 + rng.Uniform(255));
+      coeff[i] = 0;
+    }
+    coeff[0] = static_cast<int16_t>(rng.UniformInt(-32768, 32767));
+    if (shape == 1) {
+      coeff[1 + rng.Uniform(63)] =
+          static_cast<int16_t>(rng.Uniform(2) ? 1 : -1);
+    } else if (shape >= 2) {
+      for (int i = 1; i < 64; ++i) {
+        if (rng.Uniform(3) == 0) {
+          coeff[i] = static_cast<int16_t>(rng.UniformInt(-32768, 32767));
+        }
+      }
+    }
+    int32_t want[64];
+    bool want_ac = false;
+    for (int i = 0; i < 64; ++i) {
+      const int64_t v = int64_t{coeff[i]} * quant[i];
+      want[i] = static_cast<int32_t>(
+          std::min<int64_t>(std::max<int64_t>(v, -arch::kMaxDequantized),
+                            arch::kMaxDequantized));
+      want_ac |= i > 0 && coeff[i] != 0;
+    }
+    int32_t got[64];
+    ASSERT_EQ(arch::DequantizeScalar(coeff, quant, got), want_ac) << n;
+    ASSERT_EQ(0, std::memcmp(want, got, sizeof(got))) << n;
+    for (const Isa isa : tiers) {
+      std::memset(got, 0x5a, sizeof(got));
+      ASSERT_EQ(arch::KernelsFor(isa).dequantize(coeff, quant, got), want_ac)
+          << "block " << n << " tier " << arch::IsaName(isa);
+      ASSERT_EQ(0, std::memcmp(want, got, sizeof(got)))
+          << "block " << n << " tier " << arch::IsaName(isa);
+    }
+  }
+}
+
 TEST(DispatchTest, IdctKernelsMatchScalarOnRandomBlocks) {
   const std::vector<Isa> tiers = SupportedSimdTiers();
   if (tiers.empty()) GTEST_SKIP() << "no SIMD tier on this CPU/build";
@@ -289,16 +339,25 @@ TEST(DispatchTest, ScalarUpsampleRowMatchesUpsampleAt) {
 TEST(DispatchTest, UpsampleRowKernelsMatchScalar) {
   const std::vector<Isa> tiers = SupportedSimdTiers();
   if (tiers.empty()) GTEST_SKIP() << "no SIMD tier on this CPU/build";
+  // Every row width up to 80 (each vector body length and overlapping
+  // final step) and the 256-wide rows of the benchmark fixture, then
+  // random widths.
+  std::vector<int> widths;
+  for (int w = 1; w <= 80; ++w) widths.push_back(w);
+  for (int w : {254, 255, 256}) widths.push_back(w);
   Rng rng(0xdeca);
   for (int n = 0; n < 500; ++n) {
-    const int cw = 1 + static_cast<int>(rng.Uniform(100));
+    widths.push_back(1 + static_cast<int>(rng.Uniform(200)));
+  }
+  for (size_t n = 0; n < 2 * widths.size(); ++n) {
+    const int out_w = widths[n / 2];
+    const int cw = (out_w + 1) / 2;
     std::vector<uint8_t> r0(cw), r1(cw);
     for (int i = 0; i < cw; ++i) {
       r0[i] = static_cast<uint8_t>(rng.Uniform(256));
       r1[i] = static_cast<uint8_t>(rng.Uniform(256));
     }
-    const int out_w = 2 * cw - static_cast<int>(rng.Uniform(2));
-    const int wy1 = rng.Uniform(2) ? 1 : 3;
+    const int wy1 = n % 2 ? 1 : 3;
     std::vector<uint8_t> want(out_w + 1, 0x77);
     arch::UpsampleRowScalar(r0.data(), r1.data(), wy1, want.data(), out_w,
                             cw);
