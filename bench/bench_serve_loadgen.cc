@@ -209,10 +209,10 @@ PhaseResult RunServePhase(Env* env, const std::string& dataset_dir,
   // Compressed streams pass decode through; extra stage threads only add
   // scheduler pressure (this box serializes everything through few cores).
   options.decode_threads = decode ? 2 : 1;
-  // One delivery token per stream: with cache-warm pipelines the serve
-  // threads are arbitration-bound before they are copy-bound, and a token
-  // pool smaller than the client count would throttle both planes alike
-  // while blurring the per-plane service-cost difference this bench gates.
+  // One serve worker per stream: with cache-warm pipelines the workers
+  // are arbitration-bound before they are copy-bound, and a pool smaller
+  // than the client count would throttle both planes alike while blurring
+  // the per-plane service-cost difference this bench gates.
   options.serve_tokens = kClients;
   auto daemon = serve::PcrDaemon::Start(env, options).MoveValue();
 

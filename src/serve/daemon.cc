@@ -12,6 +12,8 @@
 #include <climits>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <optional>
 #include <utility>
 
 #include "kv/kv_store.h"
@@ -83,100 +85,35 @@ struct PcrDaemon::Stream {
   std::unique_ptr<LoaderPipeline> pipeline;
   uint32_t max_inflight = 1;
 
-  std::mutex mu;
-  std::condition_variable cv;
+  // Serve state, guarded by the daemon's serve_mu_.
   std::deque<double> pending;  // NextBatch receipt times (steady seconds).
-  bool closing = false;
+  int64_t deficit = 0;         // DRR: starts at 0; the first round tops it up.
+  bool in_service = false;     // A serve worker is delivering for it.
+  bool slot_wait = false;      // Parked batch, every shm slot lent out.
+  Status failure;              // First fatal serve error (OK while healthy).
+
+  // Touched only by the worker that has the stream in service; serve_mu_
+  // orders one worker's writes before the next worker's reads.
   bool end_of_stream = false;
+  std::optional<SharedLoadedBatch> parked;  // Popped, waiting on a slot.
 
   StageStats stats;  // Serve stage: items = served batches.
   std::atomic<int64_t> served_images{0};
 
   // Shm data plane. Like the pipeline, segment and ring are assigned before
-  // the stream is published and never reset afterwards, so the serving
-  // thread and stats readers touch them without stream->mu. Descriptors
-  // flow only once shm_active is set (by the client's accepted ShmAck);
-  // until then — and forever on the socket plane — both stay unused.
+  // the stream is published and never reset afterwards, so serve workers
+  // and stats readers touch them without serve_mu_. Descriptors flow only
+  // once shm_active is set (by the client's accepted ShmAck); until then —
+  // and forever on the socket plane — both stay unused.
   std::unique_ptr<ShmSegment> shm;
   std::unique_ptr<SlotRing> ring;
   std::atomic<bool> shm_active{false};
-
-  std::thread server;
 };
-
-// --- DrrScheduler -----------------------------------------------------------
-
-void PcrDaemon::DrrScheduler::Register(uint64_t stream_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_[stream_id];  // Deficit starts at 0; first round tops it up.
-}
-
-void PcrDaemon::DrrScheduler::Unregister(uint64_t stream_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.erase(stream_id);
-  cv_.notify_all();  // Wake an Acquire parked on the erased stream.
-}
-
-uint64_t PcrDaemon::DrrScheduler::PickNextLocked() {
-  uint64_t best = 0;
-  int64_t best_deficit = 0;
-  bool any = false;
-  for (auto& [id, entry] : entries_) {
-    if (!entry.waiting) continue;
-    if (!any || entry.deficit > best_deficit) {
-      best = id;
-      best_deficit = entry.deficit;
-      any = true;
-    }
-  }
-  if (!any) return 0;
-  if (best_deficit <= 0) {
-    // Every waiting stream is overdrawn: a new round credits one quantum
-    // each (classic DRR, adapted to reply sizes unknown until served).
-    for (auto& [id, entry] : entries_) {
-      if (entry.waiting) entry.deficit += static_cast<int64_t>(quantum_);
-    }
-  }
-  return best;
-}
-
-bool PcrDaemon::DrrScheduler::Acquire(uint64_t stream_id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = entries_.find(stream_id);
-  if (it == entries_.end()) return false;
-  it->second.waiting = true;
-  while (true) {
-    if (shutdown_ || entries_.count(stream_id) == 0) return false;
-    if (tokens_ > 0 && PickNextLocked() == stream_id) {
-      --tokens_;
-      entries_[stream_id].waiting = false;
-      return true;
-    }
-    cv_.wait(lock);
-  }
-}
-
-void PcrDaemon::DrrScheduler::Release(uint64_t stream_id, uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++tokens_;
-  auto it = entries_.find(stream_id);
-  if (it != entries_.end()) it->second.deficit -= static_cast<int64_t>(bytes);
-  cv_.notify_all();
-}
-
-void PcrDaemon::DrrScheduler::Shutdown() {
-  std::lock_guard<std::mutex> lock(mu_);
-  shutdown_ = true;
-  cv_.notify_all();
-}
 
 // --- Daemon lifecycle -------------------------------------------------------
 
 PcrDaemon::PcrDaemon(Env* env, DaemonOptions options)
-    : env_(env),
-      options_(std::move(options)),
-      scheduler_(std::max(1, options_.serve_tokens),
-                 std::max<uint64_t>(1, options_.drr_quantum_bytes)) {
+    : env_(env), options_(std::move(options)) {
   DecodeCacheOptions cache_options;
   cache_options.capacity_bytes = std::max<uint64_t>(1, options_.decode_cache_bytes);
   decode_cache_ = std::make_shared<DecodeCache>(cache_options);
@@ -191,6 +128,10 @@ Result<std::unique_ptr<PcrDaemon>> PcrDaemon::Start(Env* env,
   }
   std::unique_ptr<PcrDaemon> daemon(new PcrDaemon(env, std::move(options)));
   PCR_RETURN_IF_ERROR(daemon->Listen());
+  for (int i = 0; i < std::max(1, daemon->options_.serve_tokens); ++i) {
+    daemon->serve_workers_.emplace_back(
+        [d = daemon.get()] { d->ServeWorkerLoop(); });
+  }
   daemon->accept_thread_ = std::thread([d = daemon.get()] { d->AcceptLoop(); });
   return daemon;
 }
@@ -270,12 +211,10 @@ void PcrDaemon::Stop() {
     listen_fd_ = -1;
   }
 
-  // Unblock everything serve-side first: shut the fairness scheduler down
-  // (wakes Acquire), sever every connection (unblocks serving threads
-  // parked in send() against a stalled client and pops the readers out of
-  // recv()), then tear the streams down — pipeline Stop() unblocks any
-  // thread still inside Next(), so the joins below are bounded.
-  scheduler_.Shutdown();
+  // Unblock everything serve-side first: sever every connection (unblocks
+  // serve workers parked in send() against a stalled client and pops the
+  // readers out of recv()), then tear the streams down — pipeline Stop()
+  // unblocks any worker still inside Next(), so the waits below are bounded.
   std::vector<std::shared_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -286,7 +225,7 @@ void PcrDaemon::Stop() {
   }
   std::vector<uint64_t> ids;
   {
-    std::lock_guard<std::mutex> lock(streams_mu_);
+    std::lock_guard<std::mutex> lock(serve_mu_);
     ids.reserve(streams_.size());
     for (const auto& [id, stream] : streams_) ids.push_back(id);
   }
@@ -295,6 +234,11 @@ void PcrDaemon::Stop() {
     if (conn->reader.joinable()) conn->reader.join();
     ::close(conn->fd);  // Readers leave the fd open; the remover closes it.
   }
+  // Workers test stopping_ under serve_mu_ before they sleep, so taking the
+  // lock once orders the notify after any such test.
+  { std::lock_guard<std::mutex> lock(serve_mu_); }
+  work_cv_.notify_all();
+  for (std::thread& worker : serve_workers_) worker.join();
   // Only remove the socket file if this daemon bound it — a daemon that
   // LOST the Listen() race must not unlink the winner's live socket (or
   // whatever non-socket file blocked the path).
@@ -302,7 +246,7 @@ void PcrDaemon::Stop() {
 }
 
 int PcrDaemon::active_streams() const {
-  std::lock_guard<std::mutex> lock(streams_mu_);
+  std::lock_guard<std::mutex> lock(serve_mu_);
   return static_cast<int>(streams_.size());
 }
 
@@ -499,12 +443,12 @@ void PcrDaemon::HandleOpenStream(const std::shared_ptr<Connection>& conn,
   bool admitted = false;
   {
     // Reserve the admission slot and id, but do NOT publish the stream yet:
-    // once it is visible in streams_, Stop()/CloseStream may tear it down
-    // concurrently, so the pipeline, scheduler entry, and serving thread
-    // must all exist first. admitted_streams_ counts reserved slots
+    // once it is visible in streams_, serve workers may pick it and
+    // Stop()/CloseStream may tear it down concurrently, so the pipeline and
+    // shm plane must exist first. admitted_streams_ counts reserved slots
     // (including streams still being initialized) so concurrent opens
     // cannot over-admit in the window before publication.
-    std::lock_guard<std::mutex> lock(streams_mu_);
+    std::lock_guard<std::mutex> lock(serve_mu_);
     if (admitted_streams_ < options_.max_streams) {
       stream->id = next_stream_id_++;
       ++admitted_streams_;
@@ -556,38 +500,25 @@ void PcrDaemon::HandleOpenStream(const std::shared_ptr<Connection>& conn,
     }
   }
 
-  scheduler_.Register(stream->id);
   {
     std::lock_guard<std::mutex> lock(conn->streams_mu);
     conn->stream_ids.push_back(stream->id);
   }
-  stream->server = std::thread([this, stream] { ServeLoop(stream); });
 
   bool published = false;
   {
-    std::lock_guard<std::mutex> lock(streams_mu_);
+    std::lock_guard<std::mutex> lock(serve_mu_);
     if (!stopping_.load(std::memory_order_acquire)) {
       streams_[stream->id] = stream;
       published = true;
+    } else {
+      --admitted_streams_;
     }
   }
   if (!published) {
     // Stop() set stopping_ before snapshotting streams_, so it will never
-    // see this stream — unwind it inline instead of leaking a joinable
-    // serving thread and a live pipeline.
-    {
-      std::lock_guard<std::mutex> lock(stream->mu);
-      stream->closing = true;
-    }
-    stream->cv.notify_all();
-    scheduler_.Unregister(stream->id);
-    if (stream->ring) stream->ring->Close();
-    stream->pipeline->Stop();
-    stream->server.join();
-    {
-      std::lock_guard<std::mutex> lock(streams_mu_);
-      --admitted_streams_;
-    }
+    // see this stream; no worker did either. The pipeline stops when the
+    // last reference drops on return.
     ReleaseDataset(*dataset);
     SendError(conn, Status::Aborted("serve: daemon stopping"), 0);
     return;
@@ -646,41 +577,32 @@ void PcrDaemon::HandleNextBatch(const std::shared_ptr<Connection>& conn,
     SendError(conn, req.status(), 0);
     return;
   }
-  std::shared_ptr<Stream> stream;
+  Status refusal;
   {
-    std::lock_guard<std::mutex> lock(streams_mu_);
+    std::lock_guard<std::mutex> lock(serve_mu_);
     auto it = streams_.find(req->stream_id);
-    if (it != streams_.end()) stream = it->second;
-  }
-  if (!stream || stream->conn.get() != conn.get()) {
-    SendError(conn,
-              Status::NotFound("serve: no such stream " +
-                               std::to_string(req->stream_id)),
-              req->stream_id);
-    return;
-  }
-  bool over_cap = false;
-  size_t in_flight = 0;
-  {
-    std::lock_guard<std::mutex> lock(stream->mu);
-    in_flight = stream->pending.size();
-    if (in_flight >= stream->max_inflight) {
-      over_cap = true;  // In-flight cap: the client overran its budget.
+    Stream* stream = it == streams_.end() ? nullptr : it->second.get();
+    if (stream == nullptr || stream->conn.get() != conn.get()) {
+      refusal = Status::NotFound("serve: no such stream " +
+                                 std::to_string(req->stream_id));
+    } else if (!stream->failure.ok()) {
+      refusal = stream->failure;  // The stream cannot serve past its error.
+    } else if (stream->pending.size() >= stream->max_inflight) {
+      // In-flight cap: the client overran its budget.
+      refusal = Status::ResourceExhausted(
+          "serve: stream " + std::to_string(stream->id) + " already has " +
+          std::to_string(stream->pending.size()) +
+          " requests in flight (cap " + std::to_string(stream->max_inflight) +
+          ")");
     } else {
       stream->pending.push_back(NowSec());
     }
   }
-  if (over_cap) {
-    SendError(conn,
-              Status::ResourceExhausted(
-                  "serve: stream " + std::to_string(stream->id) +
-                  " already has " + std::to_string(in_flight) +
-                  " requests in flight (cap " +
-                  std::to_string(stream->max_inflight) + ")"),
-              stream->id);
+  if (!refusal.ok()) {
+    SendError(conn, refusal, req->stream_id);
     return;
   }
-  stream->cv.notify_one();
+  work_cv_.notify_one();
 }
 
 void PcrDaemon::HandleShmAck(const std::shared_ptr<Connection>& conn,
@@ -692,7 +614,7 @@ void PcrDaemon::HandleShmAck(const std::shared_ptr<Connection>& conn,
   }
   std::shared_ptr<Stream> stream;
   {
-    std::lock_guard<std::mutex> lock(streams_mu_);
+    std::lock_guard<std::mutex> lock(serve_mu_);
     auto it = streams_.find(ack->stream_id);
     if (it != streams_.end()) stream = it->second;
   }
@@ -716,14 +638,21 @@ void PcrDaemon::HandleReleaseSlot(const std::shared_ptr<Connection>& conn,
   }
   std::shared_ptr<Stream> stream;
   {
-    std::lock_guard<std::mutex> lock(streams_mu_);
+    std::lock_guard<std::mutex> lock(serve_mu_);
     auto it = streams_.find(req->stream_id);
     if (it != streams_.end()) stream = it->second;
   }
   if (!stream || stream->conn.get() != conn.get() || !stream->ring) return;
   // Out-of-range slots and stale/forged generation cookies are dropped by
   // the ring itself — a hostile credit cannot free someone else's tenancy.
-  (void)stream->ring->Release(req->slot, req->generation);
+  if (!stream->ring->Release(req->slot, req->generation)) return;
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(serve_mu_);
+    wake = stream->slot_wait;
+    stream->slot_wait = false;
+  }
+  if (wake) work_cv_.notify_one();
 }
 
 void PcrDaemon::HandleStats(const std::shared_ptr<Connection>& conn,
@@ -746,7 +675,7 @@ void PcrDaemon::HandleCloseStream(const std::shared_ptr<Connection>& conn,
   }
   bool known = false;
   {
-    std::lock_guard<std::mutex> lock(streams_mu_);
+    std::lock_guard<std::mutex> lock(serve_mu_);
     auto it = streams_.find(req->stream_id);
     known = it != streams_.end() && it->second->conn.get() == conn.get();
   }
@@ -765,174 +694,228 @@ void PcrDaemon::HandleCloseStream(const std::shared_ptr<Connection>& conn,
 
 // --- Serving ----------------------------------------------------------------
 
-void PcrDaemon::ServeLoop(const std::shared_ptr<Stream>& stream) {
-  while (true) {
-    double receipt = 0;
-    {
-      std::unique_lock<std::mutex> lock(stream->mu);
-      stream->cv.wait(lock, [&] {
-        return stream->closing || !stream->pending.empty();
-      });
-      if (stream->closing) return;
-      receipt = stream->pending.front();
-      stream->pending.pop_front();
+void PcrDaemon::ServeWorkerLoop() {
+  std::unique_lock<std::mutex> lock(serve_mu_);
+  while (!stopping_.load(std::memory_order_acquire)) {
+    bool more = false;
+    const std::shared_ptr<Stream> stream = PickStreamLocked(&more);
+    if (!stream) {
+      work_cv_.wait(lock);
+      continue;
     }
-    if (!scheduler_.Acquire(stream->id)) return;
-    stream->stats.AddQueueWait(NowSec() - receipt);
+    // Other streams still wait: pass the wakeup on to an idle worker.
+    if (more) work_cv_.notify_one();
+    stream->in_service = true;
+    const double receipt = stream->pending.front();
+    stream->pending.pop_front();
+    lock.unlock();
+    const ServeOutcome outcome = ServeBatch(stream.get(), receipt);
+    lock.lock();
+    stream->in_service = false;
+    stream->deficit -= static_cast<int64_t>(outcome.charge);
+    if (stream->parked) {
+      // The request waits at the head of the queue for its slot. Re-check
+      // the ring here: a credit that landed after the failed TryAcquire
+      // found no slot wait to clear, so it must not be slept through.
+      stream->pending.push_front(receipt);
+      stream->slot_wait =
+          stream->ring->held_slots() == stream->ring->num_slots();
+    }
+    size_t orphaned = 0;
+    if (!outcome.failure.ok()) {
+      stream->failure = outcome.failure;
+      orphaned = stream->pending.size();
+      stream->pending.clear();
+    }
+    idle_cv_.notify_all();
+    if (orphaned > 0) {
+      // Requests queued behind the failure get its error too, so a
+      // pipelining client never waits on a reply that cannot come.
+      lock.unlock();
+      for (size_t i = 0; i < orphaned; ++i) {
+        SendError(stream->conn, outcome.failure, stream->id);
+      }
+      lock.lock();
+    }
+  }
+}
 
-    BatchReply reply;             // Socket plane and end-of-stream.
-    reply.stream_id = stream->id;
-    BatchDescriptorReply desc;    // Shm plane.
-    desc.stream_id = stream->id;
-    bool use_shm = false;
-    bool fatal = false;
-    if (stream->end_of_stream) {
+std::shared_ptr<PcrDaemon::Stream> PcrDaemon::PickStreamLocked(bool* more) {
+  const auto eligible = [](const Stream& s) {
+    return !s.pending.empty() && !s.in_service && !s.slot_wait;
+  };
+  std::shared_ptr<Stream> best;
+  int candidates = 0;
+  for (const auto& [id, stream] : streams_) {
+    if (!eligible(*stream)) continue;
+    ++candidates;
+    if (!best || stream->deficit > best->deficit) best = stream;
+  }
+  *more = candidates > 1;
+  if (best && best->deficit <= 0) {
+    // Every eligible stream is overdrawn: a new round credits one quantum
+    // each (classic DRR, adapted to reply sizes unknown until served).
+    const int64_t quantum = static_cast<int64_t>(
+        std::max<uint64_t>(1, options_.drr_quantum_bytes));
+    for (const auto& [id, stream] : streams_) {
+      if (eligible(*stream)) stream->deficit += quantum;
+    }
+  }
+  return best;
+}
+
+PcrDaemon::ServeOutcome PcrDaemon::ServeBatch(Stream* stream, double receipt) {
+  ServeOutcome outcome;
+  // A parked batch already counted its queue wait when it was first popped.
+  if (!stream->parked) stream->stats.AddQueueWait(NowSec() - receipt);
+
+  BatchReply reply;             // Socket plane and end-of-stream.
+  reply.stream_id = stream->id;
+  BatchDescriptorReply desc;    // Shm plane.
+  desc.stream_id = stream->id;
+  bool use_shm = false;
+  if (stream->end_of_stream) {
+    reply.end_of_stream = true;
+  } else {
+    Result<SharedLoadedBatch> next =
+        stream->parked ? Result<SharedLoadedBatch>(std::move(*stream->parked))
+                       : stream->pipeline->NextShared();
+    stream->parked.reset();
+    if (next.ok()) {
+      const LoadedBatch& batch = *next->batch;
+      uint64_t pixel_bytes = 0;
+      // Slot layout: each image starts cache-line aligned (the placement
+      // copy's non-temporal stores want aligned destinations), so the
+      // fit check is against the padded end, not the raw byte sum.
+      uint64_t placed_end = 0;
+      for (const Image& img : batch.images) {
+        pixel_bytes += img.size_bytes();
+        placed_end = (placed_end + 63) & ~uint64_t{63};
+        placed_end += img.size_bytes();
+      }
+
+      // The shm plane carries decoded pixels that fit a slot; an
+      // oversized batch (or a compressed one) falls back to a socket
+      // BatchReply for just this delivery.
+      use_shm = stream->shm_active.load(std::memory_order_acquire) &&
+                !batch.images.empty() && batch.jpeg_spans.empty() &&
+                placed_end <= stream->ring->slot_bytes();
+      std::optional<std::pair<uint32_t, uint64_t>> slot;
+      if (use_shm) {
+        slot = stream->ring->TryAcquire();
+        if (!slot.has_value()) {
+          // Backpressure: every slot is lent out, so the client must
+          // return one before this batch can be placed. Park the batch on
+          // the stream and free the worker — the wait is this stream's
+          // alone, and other streams keep flowing. The client's ReleaseSlot
+          // makes the stream eligible again.
+          stream->stats.AddShmSlotWait();
+          stream->parked = std::move(next).MoveValue();
+          return outcome;
+        }
+      }
+
+      if (use_shm) {
+        // One copy, into the registered slot; only placement metadata
+        // crosses the socket.
+        uint8_t* const base =
+            stream->shm->data() + stream->ring->SlotOffset(slot->first);
+        uint64_t off = 0;
+        for (const Image& img : batch.images) {
+          off = (off + 63) & ~uint64_t{63};
+          PlacementCopy(base + off, img.data(), img.size_bytes());
+          WireImageDesc d;
+          d.width = static_cast<uint32_t>(img.width());
+          d.height = static_cast<uint32_t>(img.height());
+          d.channels = static_cast<uint32_t>(img.channels());
+          d.offset = off;
+          d.length = img.size_bytes();
+          desc.images.push_back(d);
+          off += img.size_bytes();
+        }
+        desc.record_index = batch.record_index;
+        desc.scan_group = static_cast<uint32_t>(batch.scan_group);
+        desc.labels = batch.labels;
+        desc.bytes_read = next->bytes_read;
+        desc.slot = slot->first;
+        desc.generation = slot->second;
+        desc.payload_bytes = pixel_bytes;
+        stream->stats.AddBytesCopied(pixel_bytes);
+      } else {
+        reply.record_index = batch.record_index;
+        reply.scan_group = static_cast<uint32_t>(batch.scan_group);
+        reply.labels = batch.labels;
+        reply.bytes_read = next->bytes_read;
+        for (const Image& img : batch.images) {
+          WireImage wire;
+          wire.width = static_cast<uint32_t>(img.width());
+          wire.height = static_cast<uint32_t>(img.height());
+          wire.channels = static_cast<uint32_t>(img.channels());
+          wire.pixels.assign(reinterpret_cast<const char*>(img.data()),
+                             img.size_bytes());
+          reply.images.push_back(std::move(wire));
+        }
+        uint64_t jpeg_bytes = 0;
+        for (const ByteSpan& span : batch.jpeg_spans) {
+          reply.jpegs.emplace_back(batch.jpeg_backing.data() + span.offset,
+                                   span.length);
+          jpeg_bytes += span.length;
+        }
+        // Socket serialization moves the payload twice: into the wire
+        // structs above, and again into the encoded frame below.
+        stream->stats.AddBytesCopied(2 * (pixel_bytes + jpeg_bytes));
+      }
+      stream->served_images.fetch_add(
+          static_cast<int64_t>(batch.images.size() +
+                               batch.jpeg_spans.size()),
+          std::memory_order_relaxed);
+    } else if (next.status().IsOutOfRange()) {
+      stream->end_of_stream = true;
       reply.end_of_stream = true;
     } else {
-      Result<SharedLoadedBatch> next = stream->pipeline->NextShared();
-      if (next.ok()) {
-        const LoadedBatch& batch = *next->batch;
-        uint64_t pixel_bytes = 0;
-        // Slot layout: each image starts cache-line aligned (the placement
-        // copy's non-temporal stores want aligned destinations), so the
-        // fit check is against the padded end, not the raw byte sum.
-        uint64_t placed_end = 0;
-        for (const Image& img : batch.images) {
-          pixel_bytes += img.size_bytes();
-          placed_end = (placed_end + 63) & ~uint64_t{63};
-          placed_end += img.size_bytes();
-        }
-
-        // The shm plane carries decoded pixels that fit a slot; an
-        // oversized batch (or a compressed one) falls back to a socket
-        // BatchReply for just this delivery.
-        use_shm = stream->shm_active.load(std::memory_order_acquire) &&
-                  !batch.images.empty() && batch.jpeg_spans.empty() &&
-                  placed_end <= stream->ring->slot_bytes();
-        std::optional<std::pair<uint32_t, uint64_t>> slot;
-        if (use_shm) {
-          slot = stream->ring->TryAcquire();
-          if (!slot.has_value()) {
-            // Backpressure: every slot is lent out, so the client must
-            // return one before this batch can be placed. Give the delivery
-            // token back while blocked — the wait is this stream's alone,
-            // and other streams keep flowing — then re-arbitrate.
-            stream->stats.AddShmSlotWait();
-            scheduler_.Release(stream->id, 0);
-            slot = stream->ring->Acquire();
-            if (!slot.has_value() || !scheduler_.Acquire(stream->id)) {
-              if (slot.has_value()) {
-                stream->ring->Release(slot->first, slot->second);
-              }
-              return;  // Ring closed or scheduler shut down: teardown.
-            }
-          }
-        }
-
-        if (use_shm) {
-          // One copy, into the registered slot; only placement metadata
-          // crosses the socket.
-          uint8_t* const base =
-              stream->shm->data() + stream->ring->SlotOffset(slot->first);
-          uint64_t off = 0;
-          for (const Image& img : batch.images) {
-            off = (off + 63) & ~uint64_t{63};
-            PlacementCopy(base + off, img.data(), img.size_bytes());
-            WireImageDesc d;
-            d.width = static_cast<uint32_t>(img.width());
-            d.height = static_cast<uint32_t>(img.height());
-            d.channels = static_cast<uint32_t>(img.channels());
-            d.offset = off;
-            d.length = img.size_bytes();
-            desc.images.push_back(d);
-            off += img.size_bytes();
-          }
-          desc.record_index = batch.record_index;
-          desc.scan_group = static_cast<uint32_t>(batch.scan_group);
-          desc.labels = batch.labels;
-          desc.bytes_read = next->bytes_read;
-          desc.slot = slot->first;
-          desc.generation = slot->second;
-          desc.payload_bytes = pixel_bytes;
-          stream->stats.AddBytesCopied(pixel_bytes);
-        } else {
-          reply.record_index = batch.record_index;
-          reply.scan_group = static_cast<uint32_t>(batch.scan_group);
-          reply.labels = batch.labels;
-          reply.bytes_read = next->bytes_read;
-          for (const Image& img : batch.images) {
-            WireImage wire;
-            wire.width = static_cast<uint32_t>(img.width());
-            wire.height = static_cast<uint32_t>(img.height());
-            wire.channels = static_cast<uint32_t>(img.channels());
-            wire.pixels.assign(reinterpret_cast<const char*>(img.data()),
-                               img.size_bytes());
-            reply.images.push_back(std::move(wire));
-          }
-          uint64_t jpeg_bytes = 0;
-          for (const ByteSpan& span : batch.jpeg_spans) {
-            reply.jpegs.emplace_back(batch.jpeg_backing.data() + span.offset,
-                                     span.length);
-            jpeg_bytes += span.length;
-          }
-          // Socket serialization moves the payload twice: into the wire
-          // structs above, and again into the encoded frame below.
-          stream->stats.AddBytesCopied(2 * (pixel_bytes + jpeg_bytes));
-        }
-        stream->served_images.fetch_add(
-            static_cast<int64_t>(batch.images.size() +
-                                 batch.jpeg_spans.size()),
-            std::memory_order_relaxed);
-      } else if (next.status().IsOutOfRange()) {
-        stream->end_of_stream = true;
-        reply.end_of_stream = true;
-      } else {
-        SendError(stream->conn, next.status(), stream->id);
-        fatal = true;
-      }
+      outcome.failure = next.status();
+      SendError(stream->conn, outcome.failure, stream->id);
     }
-
-    uint64_t reply_bytes = 0;
-    if (!fatal) {
-      const std::string payload = use_shm ? desc.Encode() : reply.Encode();
-      // The DRR charge and stage bytes count actual service: the frame plus
-      // (on the shm plane) the pixels placed in the slot, so a descriptor
-      // stream cannot out-compete socket streams on fairness accounting.
-      reply_bytes = payload.size() + (use_shm ? desc.payload_bytes : 0);
-      const Status framable = CheckFramePayloadSize(payload.size());
-      if (!framable.ok()) {
-        // The batch cannot be framed. Tell the client cleanly (the error
-        // reply is tiny) instead of letting an oversized length prefix
-        // corrupt the stream; the stream cannot make progress past this
-        // batch, so it ends here. Nothing was delivered, so no stats.
-        SendError(stream->conn,
-                  Status::ResourceExhausted(
-                      "serve: stream " + std::to_string(stream->id) +
-                      ": batch too large to frame: " + framable.message()),
-                  stream->id);
-        fatal = true;
-      } else {
-        // Count the delivery before writing it: the client can observe the
-        // frame and immediately query stats, so the counters must already
-        // include the batch it is about to receive.
-        stream->stats.AddItem(reply_bytes);
-        if (use_shm) stream->stats.AddShmBatch();
-        const Status write =
-            WriteFrame(*stream->conn,
-                       use_shm ? MessageType::kBatchDescriptor
-                               : MessageType::kBatchReply,
-                       Slice(payload));
-        if (!write.ok()) fatal = true;  // Peer gone; reader tears us down.
-        stream->stats.AddBatchLatency(NowSec() - receipt);
-        {
-          std::lock_guard<std::mutex> lock(stream->mu);
-          stream->stats.SampleQueueDepth(stream->pending.size());
-        }
-      }
-    }
-    scheduler_.Release(stream->id, reply_bytes);
-    if (fatal) return;
   }
+
+  if (outcome.failure.ok()) {
+    const std::string payload = use_shm ? desc.Encode() : reply.Encode();
+    // The DRR charge and stage bytes count actual service: the frame plus
+    // (on the shm plane) the pixels placed in the slot, so a descriptor
+    // stream cannot out-compete socket streams on fairness accounting.
+    const uint64_t reply_bytes =
+        payload.size() + (use_shm ? desc.payload_bytes : 0);
+    const Status framable = CheckFramePayloadSize(payload.size());
+    if (!framable.ok()) {
+      // The batch cannot be framed. Tell the client cleanly (the error
+      // reply is tiny) instead of letting an oversized length prefix
+      // corrupt the stream; the stream cannot make progress past this
+      // batch, so it ends here. Nothing was delivered, so no stats.
+      outcome.failure = Status::ResourceExhausted(
+          "serve: stream " + std::to_string(stream->id) +
+          ": batch too large to frame: " + framable.message());
+      SendError(stream->conn, outcome.failure, stream->id);
+    } else {
+      // Count the delivery before writing it: the client can observe the
+      // frame and immediately query stats, so the counters must already
+      // include the batch it is about to receive.
+      stream->stats.AddItem(reply_bytes);
+      if (use_shm) stream->stats.AddShmBatch();
+      outcome.charge = reply_bytes;
+      const Status write =
+          WriteFrame(*stream->conn,
+                     use_shm ? MessageType::kBatchDescriptor
+                             : MessageType::kBatchReply,
+                     Slice(payload));
+      outcome.failure = write;  // Peer gone; its reader tears us down.
+      stream->stats.AddBatchLatency(NowSec() - receipt);
+      {
+        std::lock_guard<std::mutex> lock(serve_mu_);
+        stream->stats.SampleQueueDepth(stream->pending.size());
+      }
+    }
+  }
+  return outcome;
 }
 
 // --- Framing helpers --------------------------------------------------------
@@ -1086,24 +1069,23 @@ void PcrDaemon::ReleaseDataset(const std::shared_ptr<DatasetEntry>& entry) {
 void PcrDaemon::TeardownStream(uint64_t stream_id) {
   std::shared_ptr<Stream> stream;
   {
-    std::lock_guard<std::mutex> lock(streams_mu_);
+    // Unpublished streams are never picked again; a worker already serving
+    // this one finishes its delivery below.
+    std::lock_guard<std::mutex> lock(serve_mu_);
     auto it = streams_.find(stream_id);
     if (it == streams_.end()) return;  // Already torn down (idempotent).
     stream = it->second;
     streams_.erase(it);
     --admitted_streams_;
   }
-  {
-    std::lock_guard<std::mutex> lock(stream->mu);
-    stream->closing = true;
-  }
-  stream->cv.notify_all();
-  scheduler_.Unregister(stream_id);  // Unblocks a parked Acquire.
-  // Closing the ring unblocks a server thread parked on slot backpressure
-  // and reclaims any slots a vanished client never returned.
+  // Slots a vanished client never returned die with the closed ring, and
+  // pipeline Stop() unblocks a worker inside Next().
   if (stream->ring) stream->ring->Close();
-  stream->pipeline->Stop();          // Unblocks Next().
-  if (stream->server.joinable()) stream->server.join();
+  stream->pipeline->Stop();
+  {
+    std::unique_lock<std::mutex> lock(serve_mu_);
+    idle_cv_.wait(lock, [&] { return !stream->in_service; });
+  }
   // The pipeline is deliberately NOT reset here: a BuildStats that copied
   // this stream's shared_ptr before the erase above may still be reading
   // io_stats() off the (stopped) pipeline. The Stream destructor frees it
@@ -1128,7 +1110,7 @@ StatsReply PcrDaemon::BuildStats(uint64_t stream_id) {
   StatsReply reply;
   std::vector<std::shared_ptr<Stream>> streams;
   {
-    std::lock_guard<std::mutex> lock(streams_mu_);
+    std::lock_guard<std::mutex> lock(serve_mu_);
     reply.active_streams = static_cast<uint32_t>(streams_.size());
     for (const auto& [id, stream] : streams_) {
       if (stream_id == 0 || id == stream_id) streams.push_back(stream);
@@ -1143,7 +1125,7 @@ StatsReply PcrDaemon::BuildStats(uint64_t stream_id) {
   for (const auto& stream : streams) {
     const StageStatsSnapshot serve =
         stream->stats.Snapshot("serve", 1, stream->max_inflight);
-    // Safe without stream->mu even against a concurrent TeardownStream:
+    // Safe without serve_mu_ even against a concurrent TeardownStream:
     // the pipeline is assigned before the stream is published in streams_
     // and never reset afterwards (teardown only Stop()s it; the Stream
     // destructor frees it), so this shared_ptr copy pins a live pipeline.

@@ -19,25 +19,27 @@
 //     memory), and each open dataset is capped to a byte-budget share of
 //     the decode cache (DecodeCache::SetDatasetByteCap) so one tenant's
 //     working set cannot evict everyone else's.
-//   - Fairness: batch deliveries pass through a deficit-round-robin
-//     scheduler (DrrScheduler). `serve_tokens` deliveries run concurrently;
-//     when streams contend for a token, the one with the most unspent
-//     deficit goes first and is charged the actual reply bytes it served —
-//     so a greedy client pipelining large batches cannot starve a modest
-//     one.
+//   - Fairness: batch deliveries run on a pool of `serve_tokens` serve
+//     workers. A free worker takes the eligible stream (one with a queued
+//     request, not already being served, and not waiting on a shm slot)
+//     with the most unspent deficit-round-robin deficit, and charges it the
+//     actual reply bytes it served — so a greedy client pipelining large
+//     batches cannot starve a modest one.
 //
 // Threading: one accept thread, one reader thread per connection
-// (demultiplexing Hello/OpenStream/NextBatch/Stats/Close), one serving
-// thread per stream (NextBatch queue -> DRR -> pipeline -> reply). Stop()
-// is bounded even with clients blocked in NextBatch: it shuts the sockets
-// down and stops every pipeline, which unblocks the serving threads.
+// (demultiplexing Hello/OpenStream/NextBatch/Stats/Close), and the
+// `serve_tokens` serve workers shared by every stream (NextBatch queue ->
+// DRR pick -> pipeline -> reply). Each stream is served by at most one
+// worker at a time, in request order. A worker never blocks on a client's
+// shm slot credit: it parks the batch on the stream and moves on, and the
+// client's ReleaseSlot makes the stream eligible again. Stop() is bounded
+// even with clients blocked in NextBatch: it shuts the sockets down and
+// stops every pipeline, which unblocks the serve workers.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,8 +67,8 @@ struct DaemonOptions {
   // Admission control.
   int max_streams = 16;
   int max_inflight_per_stream = 8;
-  /// Concurrent batch deliveries across all streams; the DRR scheduler
-  /// arbitrates which waiting stream gets the next token.
+  /// Serve workers, i.e. concurrent batch deliveries across all streams;
+  /// each free worker takes the waiting stream with the most DRR deficit.
   int serve_tokens = 4;
   /// Deficit added per DRR round (bytes); a stream's deliveries are charged
   /// against it at actual reply size.
@@ -140,35 +142,10 @@ class PcrDaemon {
   struct Stream;
   struct DatasetEntry;
 
-  /// Deficit-round-robin arbiter over `serve_tokens` delivery slots.
-  class DrrScheduler {
-   public:
-    DrrScheduler(int tokens, uint64_t quantum)
-        : tokens_(tokens), quantum_(quantum) {}
-    void Register(uint64_t stream_id);
-    void Unregister(uint64_t stream_id);
-    /// Blocks until `stream_id` wins a delivery token (false on shutdown).
-    bool Acquire(uint64_t stream_id);
-    /// Returns the token, charging the stream `bytes` of deficit.
-    void Release(uint64_t stream_id, uint64_t bytes);
-    void Shutdown();
-
-   private:
-    struct Entry {
-      int64_t deficit = 0;
-      bool waiting = false;
-    };
-    /// Picks the waiting stream with the most deficit, topping every
-    /// waiting stream up by one quantum ("a round") whenever the best is
-    /// overdrawn. Returns 0 if nobody waits. Caller holds mu_.
-    uint64_t PickNextLocked();
-
-    std::mutex mu_;
-    std::condition_variable cv_;
-    int tokens_;
-    uint64_t quantum_;
-    bool shutdown_ = false;
-    std::map<uint64_t, Entry> entries_;
+  /// What one delivery attempt leaves for its serve worker to settle.
+  struct ServeOutcome {
+    uint64_t charge = 0;  // DRR charge: the bytes actually served.
+    Status failure;       // Fatal: every later request gets this error.
   };
 
   PcrDaemon(Env* env, DaemonOptions options);
@@ -189,7 +166,17 @@ class PcrDaemon {
   void HandleStats(const std::shared_ptr<Connection>& conn, Slice payload);
   void HandleCloseStream(const std::shared_ptr<Connection>& conn,
                          Slice payload);
-  void ServeLoop(const std::shared_ptr<Stream>& stream);
+  /// One serve worker: takes the DRR winner, delivers one batch, repeats
+  /// until Stop().
+  void ServeWorkerLoop();
+  /// The eligible stream with the most deficit, topping every eligible
+  /// stream up by one quantum ("a round") when the best is overdrawn. Null
+  /// if none is eligible; `more` says whether another one is. Caller holds
+  /// serve_mu_.
+  std::shared_ptr<Stream> PickStreamLocked(bool* more);
+  /// Delivers the stream's next batch for the request received at
+  /// `receipt` (steady seconds). Caller marked the stream in service.
+  ServeOutcome ServeBatch(Stream* stream, double receipt);
 
   /// Serializes + writes one frame under the connection's write lock.
   Status WriteFrame(Connection& conn, MessageType type, Slice payload);
@@ -206,8 +193,8 @@ class PcrDaemon {
       const std::string& dir);
   void ReleaseDataset(const std::shared_ptr<DatasetEntry>& entry);
 
-  /// Tears one stream down: stops its pipeline, joins its serving thread,
-  /// releases the DRR registration, admission slot, and dataset ref.
+  /// Tears one stream down: unpublishes it, stops its pipeline, waits until
+  /// no worker serves it, and releases its admission slot and dataset ref.
   void TeardownStream(uint64_t stream_id);
   /// Disconnect path: tears down every stream the connection owns.
   void TeardownConnection(const std::shared_ptr<Connection>& conn);
@@ -218,7 +205,6 @@ class PcrDaemon {
   DaemonOptions options_;
   std::shared_ptr<DecodeCache> decode_cache_;
   std::shared_ptr<PrefixCache> prefix_cache_;
-  DrrScheduler scheduler_;
 
   int listen_fd_ = -1;
   /// True once Listen() bound the socket path; gates the unlink on Stop()
@@ -230,14 +216,21 @@ class PcrDaemon {
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;
 
-  mutable std::mutex streams_mu_;
+  /// Guards the stream table, admission, and every stream's serve state
+  /// (request queue, DRR deficit, in-service and slot-wait flags, failure).
+  mutable std::mutex serve_mu_;
+  /// Wakes a serve worker: a stream may have become eligible.
+  std::condition_variable work_cv_;
+  /// A stream left service (TeardownStream waits for that).
+  std::condition_variable idle_cv_;
   std::unordered_map<uint64_t, std::shared_ptr<Stream>> streams_;
-  /// Reserved admission slots, guarded by streams_mu_. Streams count from
-  /// the moment HandleOpenStream reserves an id (before the fully built
-  /// stream is published in streams_) until TeardownStream erases it, so
-  /// concurrent opens cannot over-admit during initialization.
+  /// Reserved admission slots. Streams count from the moment
+  /// HandleOpenStream reserves an id (before the fully built stream is
+  /// published in streams_) until TeardownStream erases it, so concurrent
+  /// opens cannot over-admit during initialization.
   int admitted_streams_ = 0;
   uint64_t next_stream_id_ = 1;
+  std::vector<std::thread> serve_workers_;
 
   std::mutex datasets_mu_;
   std::unordered_map<std::string, std::shared_ptr<DatasetEntry>> datasets_;

@@ -171,7 +171,9 @@ SlotRing::SlotRing(uint32_t num_slots, uint64_t slot_bytes)
       slot_bytes_(slot_bytes),
       generation_(num_slots, 0) {}
 
-std::optional<std::pair<uint32_t, uint64_t>> SlotRing::AcquireLocked() {
+std::optional<std::pair<uint32_t, uint64_t>> SlotRing::TryAcquire() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) return std::nullopt;
   for (uint32_t slot = 0; slot < num_slots_; ++slot) {
     if (generation_[slot] == 0) {
       uint64_t gen = next_generation_++;
@@ -180,21 +182,7 @@ std::optional<std::pair<uint32_t, uint64_t>> SlotRing::AcquireLocked() {
       return std::make_pair(slot, gen);
     }
   }
-  return std::nullopt;  // Unreachable when held_ < num_slots_.
-}
-
-std::optional<std::pair<uint32_t, uint64_t>> SlotRing::Acquire(bool* waited) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (waited != nullptr) *waited = (!closed_ && held_ == num_slots_);
-  slot_free_.wait(lock, [&] { return closed_ || held_ < num_slots_; });
-  if (closed_) return std::nullopt;
-  return AcquireLocked();
-}
-
-std::optional<std::pair<uint32_t, uint64_t>> SlotRing::TryAcquire() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (closed_ || held_ == num_slots_) return std::nullopt;
-  return AcquireLocked();
+  return std::nullopt;  // Every slot is held.
 }
 
 bool SlotRing::Release(uint32_t slot, uint64_t generation) {
@@ -203,21 +191,12 @@ bool SlotRing::Release(uint32_t slot, uint64_t generation) {
   if (generation_[slot] != generation) return false;
   generation_[slot] = 0;
   --held_;
-  slot_free_.notify_one();
   return true;
-}
-
-void SlotRing::ReclaimAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& gen : generation_) gen = 0;
-  held_ = 0;
-  slot_free_.notify_all();
 }
 
 void SlotRing::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   closed_ = true;
-  slot_free_.notify_all();
 }
 
 uint32_t SlotRing::held_slots() const {

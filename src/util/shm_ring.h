@@ -8,7 +8,6 @@
 // free a slot that has since been reused.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -73,12 +72,11 @@ class ShmSegment {
 void PlacementCopy(void* dst, const void* src, size_t n);
 
 /// Bookkeeping for a ring of fixed-size slots lent to a peer. The owner
-/// acquires a free slot (blocking while every slot is held — that is the
+/// takes a free slot (none free while the peer holds them all — that is the
 /// data plane's backpressure), fills it, and sends a descriptor carrying the
 /// slot index plus the generation cookie stamped at acquisition. The peer
 /// returns the slot with the same cookie; a release whose cookie does not
-/// match the live tenancy is ignored. ReclaimAll() force-frees everything
-/// when the peer disconnects while holding slots.
+/// match the live tenancy is ignored.
 class SlotRing {
  public:
   SlotRing(uint32_t num_slots, uint64_t slot_bytes);
@@ -91,13 +89,8 @@ class SlotRing {
     return static_cast<uint64_t>(slot) * slot_bytes_;
   }
 
-  /// Blocks until a slot is free, then marks it held and returns
-  /// {slot, generation}. Returns nullopt once Close() has been called.
-  /// `waited` (optional) is set to true when the call had to block because
-  /// every slot was held — the caller counts those as shm_slot_waits.
-  std::optional<std::pair<uint32_t, uint64_t>> Acquire(bool* waited = nullptr);
-
-  /// Non-blocking Acquire: nullopt when every slot is held (or closed).
+  /// Marks a free slot held and returns {slot, generation}; nullopt when
+  /// every slot is held or the ring is closed.
   std::optional<std::pair<uint32_t, uint64_t>> TryAcquire();
 
   /// Releases `slot` if `generation` matches its live tenancy. Returns false
@@ -105,24 +98,16 @@ class SlotRing {
   /// cookies — forged or duplicated release frames are harmless.
   bool Release(uint32_t slot, uint64_t generation);
 
-  /// Force-frees every held slot (peer went away without returning them).
-  /// Outstanding generations are invalidated, so a straggling release for a
-  /// reclaimed slot is ignored.
-  void ReclaimAll();
-
-  /// Wakes blocked Acquire() calls and makes all future ones fail.
+  /// Makes every later TryAcquire() fail.
   void Close();
 
   uint32_t held_slots() const;
 
  private:
-  std::optional<std::pair<uint32_t, uint64_t>> AcquireLocked();
-
   const uint32_t num_slots_;
   const uint64_t slot_bytes_;
 
   mutable std::mutex mu_;
-  std::condition_variable slot_free_;
   std::vector<uint64_t> generation_;  // 0 = free; nonzero = live cookie.
   uint64_t next_generation_ = 1;
   uint32_t held_ = 0;

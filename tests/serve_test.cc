@@ -23,6 +23,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,10 +33,12 @@
 #include "core/pcr_dataset.h"
 #include "data/dataset_spec.h"
 #include "jpeg/codec.h"
+#include "loader/pipeline.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "storage/env.h"
+#include "storage/io_backend.h"
 #include "test_util.h"
 #include "util/shm_ring.h"
 
@@ -688,11 +692,9 @@ TEST(SlotRingTest, GenerationCookiesGateReleases) {
   EXPECT_EQ(c->first, a->first);
   EXPECT_NE(c->second, a->second);
 
-  ring.ReclaimAll();
-  EXPECT_EQ(ring.held_slots(), 0u);
-  EXPECT_FALSE(ring.Release(b->first, b->second));  // Invalidated by reclaim.
+  EXPECT_TRUE(ring.Release(b->first, b->second));
   ring.Close();
-  EXPECT_FALSE(ring.Acquire().has_value());
+  EXPECT_FALSE(ring.TryAcquire().has_value());  // A free slot, but closed.
 }
 
 TEST(ShmSegmentTest, AdoptRejectsUndersizedSegment) {
@@ -1126,6 +1128,260 @@ TEST_F(ServeDaemonTest, ZeroCopyCacheHitsCounted) {
     }
     client->CloseStream(stream.stream_id).MoveValue();
   }
+}
+
+/// Threads of this process, as /proc/self/task lists them.
+int ProcessThreads() {
+  int threads = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+/// Pins PCR_FORCE_IO for one scope and restores the previous setting.
+class ScopedForceIo {
+ public:
+  explicit ScopedForceIo(const char* backend) {
+    const char* old = std::getenv("PCR_FORCE_IO");
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    ::setenv("PCR_FORCE_IO", backend, 1);
+    ResetIoBackendForTest();
+  }
+  ~ScopedForceIo() {
+    if (had_old_) {
+      ::setenv("PCR_FORCE_IO", old_.c_str(), 1);
+    } else {
+      ::unsetenv("PCR_FORCE_IO");
+    }
+    ResetIoBackendForTest();
+  }
+
+ private:
+  bool had_old_ = false;
+  std::string old_;
+};
+
+TEST_F(ServeDaemonTest, ServeThreadsDoNotGrowWithStreams) {
+  if (!RequireInternalDaemon()) {
+    GTEST_SKIP() << "counts the in-process daemon's threads";
+  }
+  // The synchronous I/O backend for the daemon and the reference alike: the
+  // threads backend spawns its service threads on demand, and io_uring may
+  // add kernel io-wq workers, so neither gives a fixed count per pipeline.
+  ScopedForceIo sync_io("sync");
+  DaemonOptions options;
+  options.serve_tokens = 2;
+  const std::string socket = Socket(options);
+
+  // One LoaderPipeline with the daemon's per-stream shape. Every pipeline
+  // here streams far more epochs than the test reads, so no I/O worker
+  // retires early for having issued all its tickets.
+  constexpr uint32_t kEpochs = 100;
+  int pipeline_threads = 0;
+  {
+    auto dataset = PcrDataset::Open(env_, dataset_dir_).MoveValue();
+    LoaderPipelineOptions pipe;
+    pipe.io_threads = 1;
+    pipe.io_inflight = 4;
+    pipe.decode_threads = options.decode_threads;
+    pipe.max_epochs = kEpochs;
+    const int before = ProcessThreads();
+    LoaderPipeline reference(dataset.get(), pipe);
+    ASSERT_TRUE(reference.NextShared().ok());
+    pipeline_threads = ProcessThreads() - before;
+  }
+  ASSERT_GT(pipeline_threads, 0);
+
+  // Six streams on one connection, more than the two serve workers: each
+  // stream may cost its pipeline's threads, and nothing more.
+  constexpr int kStreams = 6;
+  auto client = PcrClient::Connect(socket, "thread-count").MoveValue();
+  const int before = ProcessThreads();
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < kStreams; ++i) {
+    OpenStreamRequest open;
+    open.dataset_dir = dataset_dir_;
+    open.max_epochs = kEpochs;
+    auto stream = client->OpenStream(open).MoveValue();
+    auto batch = client->NextBatch(stream.stream_id);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_FALSE(batch->end_of_stream);
+    ids.push_back(stream.stream_id);
+  }
+  const int delta = ProcessThreads() - before;
+  EXPECT_LE(delta, kStreams * pipeline_threads)
+      << kStreams << " streams added " << delta
+      << " threads; one pipeline has " << pipeline_threads;
+  for (uint64_t id : ids) client->CloseStream(id).MoveValue();
+}
+
+TEST_F(ServeDaemonTest, FailedStreamAnswersEveryRequest) {
+  // Every record file cut to a few bytes: the stream's pipeline fails on
+  // its first read, and each pipelined request must still get an answer.
+  const std::string dir = root_ + "/truncated";
+  BuildDataset(dir, /*num_images=*/16, /*seed_base=*/0);
+  int truncated = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".pcr") {
+      std::filesystem::resize_file(entry.path(), 8);
+      ++truncated;
+    }
+  }
+  ASSERT_GT(truncated, 0);
+
+  auto client = PcrClient::Connect(Socket(), "truncated").MoveValue();
+  OpenStreamRequest open;
+  open.dataset_dir = dir;
+  open.max_epochs = 1;
+  open.max_inflight = 4;
+  auto stream = client->OpenStream(open).MoveValue();
+
+  // A missing reply fails the wait below instead of hanging the test:
+  // closing the client then unblocks the receiver.
+  constexpr int kRequests = 3;
+  std::promise<std::vector<Status>> replies;
+  std::future<std::vector<Status>> done = replies.get_future();
+  std::thread receiver([&] {
+    std::vector<Status> statuses;
+    for (int i = 0; i < kRequests; ++i) {
+      statuses.push_back(client->SendNextBatchRequest(stream.stream_id));
+    }
+    for (int i = 0; i < kRequests; ++i) {
+      auto batch = client->ReceiveServedBatch(stream.stream_id);
+      statuses.push_back(batch.ok() ? Status::OK() : batch.status());
+    }
+    replies.set_value(std::move(statuses));
+  });
+  const bool answered =
+      done.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  if (!answered) client->Close();
+  receiver.join();
+  ASSERT_TRUE(answered) << "a request on the failed stream never got a reply";
+  const std::vector<Status> statuses = done.get();
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_TRUE(statuses[i].ok()) << "send " << i << ": " << statuses[i];
+  }
+  for (int i = kRequests; i < 2 * kRequests; ++i) {
+    EXPECT_FALSE(statuses[i].ok()) << "reply " << i - kRequests;
+    EXPECT_EQ(statuses[i].ToString(), statuses[kRequests].ToString());
+  }
+}
+
+TEST_F(ServeDaemonTest, MoreStreamsThanServeTokensDeliverExactlyOnce) {
+  if (!RequireInternalDaemon()) {
+    GTEST_SKIP() << "needs custom DaemonOptions (serve_tokens, shm slots)";
+  }
+  DaemonOptions options;
+  options.serve_tokens = 1;
+  options.shm_slots_per_stream = 1;
+  const std::string socket = Socket(options);
+
+  // A client that holds its only slot while it asks for more: its next
+  // batch waits on the stream, and the one serve worker must move on.
+  auto hoarder = PcrClient::Connect(socket, "slot-hoarder").MoveValue();
+  OpenStreamRequest hold;
+  hold.dataset_dir = dataset_dir_;
+  hold.shm_plane = true;
+  hold.max_inflight = 2;
+  auto held_stream = hoarder->OpenStream(hold).MoveValue();
+  ASSERT_EQ(held_stream.shm_slots, 1u);
+  ASSERT_TRUE(hoarder->SendNextBatchRequest(held_stream.stream_id).ok());
+  ASSERT_TRUE(hoarder->SendNextBatchRequest(held_stream.stream_id).ok());
+  auto held = hoarder->ReceiveServedBatch(held_stream.stream_id);
+  ASSERT_TRUE(held.ok()) << held.status();
+  ASSERT_TRUE(held->via_shm());
+
+  struct Shape {
+    const char* name;
+    bool decode;
+    uint32_t scan_group;  // 0 = full quality.
+    bool shm;
+  };
+  const std::vector<Shape> shapes = {{"decoded-full-shm", true, 0, true},
+                                     {"decoded-g1-socket", true, 1, false},
+                                     {"compressed-full", false, 0, false},
+                                     {"compressed-g1", false, 1, false}};
+  constexpr int kEpochs = 2;
+  constexpr int kInflight = 2;
+  std::vector<std::string> errors(shapes.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    threads.emplace_back([&, i] {
+      const Shape& shape = shapes[i];
+      std::string& error = errors[i];
+      auto client = PcrClient::Connect(socket, shape.name).MoveValue();
+      OpenStreamRequest open;
+      open.dataset_dir = dataset_dir_;
+      open.scan_group = shape.scan_group;
+      open.max_epochs = kEpochs;
+      open.seed = 7 + i;
+      open.decode = shape.decode;
+      open.shm_plane = shape.shm;
+      open.max_inflight = kInflight;
+      auto stream = client->OpenStream(open).MoveValue();
+      // Keep two requests in flight; on the one-slot shm stream the second
+      // delivery regularly waits for the first one's slot.
+      std::map<int64_t, int> deliveries;
+      int in_flight = 0;
+      bool ended = false;
+      for (; in_flight < kInflight; ++in_flight) {
+        (void)client->SendNextBatchRequest(stream.stream_id);
+      }
+      while (in_flight > 0) {
+        auto batch = client->ReceiveBatch(stream.stream_id);
+        --in_flight;
+        if (!batch.ok()) {
+          error = batch.status().ToString();
+          return;
+        }
+        if (batch->end_of_stream) {
+          ended = true;
+          continue;
+        }
+        ++deliveries[batch->record_index];
+        const size_t items = shape.decode ? batch->images.size()
+                                          : batch->jpegs.size();
+        if (items == 0 || items != batch->labels.size() ||
+            batch->scan_group != stream.scan_group) {
+          error = "bad batch for record " +
+                  std::to_string(batch->record_index);
+        }
+        if (!ended) {
+          (void)client->SendNextBatchRequest(stream.stream_id);
+          ++in_flight;
+        }
+      }
+      if (deliveries.size() != stream.num_records) {
+        error = std::to_string(deliveries.size()) + " distinct records";
+      }
+      for (const auto& [record, count] : deliveries) {
+        if (count != kEpochs) {
+          error = "record " + std::to_string(record) + " arrived " +
+                  std::to_string(count) + " times";
+        }
+      }
+      client->CloseStream(stream.stream_id).MoveValue();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    EXPECT_EQ(errors[i], "") << shapes[i].name;
+  }
+
+  // Returning the slot lets the hoarder's waiting batch through.
+  held->Release();
+  auto next = hoarder->ReceiveServedBatch(held_stream.stream_id);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_FALSE(next->end_of_stream);
+  next->Release();
+  auto stats = hoarder->GetStats(held_stream.stream_id).MoveValue();
+  ASSERT_EQ(stats.streams.size(), 1u);
+  EXPECT_GE(stats.streams[0].shm_slot_waits, 1u);
+  hoarder->CloseStream(held_stream.stream_id).MoveValue();
 }
 
 }  // namespace
