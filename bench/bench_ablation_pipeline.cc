@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     ReportMetric("compute_x" + std::to_string(mult).substr(0, 3) +
                      "/pcr_speedup",
                  full.images, full.elapsed_seconds + low.elapsed_seconds, 0,
-                 low.images_per_sec / full.images_per_sec);
+                 low.images_per_sec / full.images_per_sec, "x");
     td.AddRow({StrFormat("%.1f", mult),
                StrFormat("%.0f", full.images_per_sec),
                StrFormat("%.0f", low.images_per_sec),

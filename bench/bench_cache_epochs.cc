@@ -129,20 +129,25 @@ int main(int argc, char** argv) {
          static_cast<long long>(last_warm_decoded));
 
   ReportMetric("epoch_1/images_per_sec", reps, 0, last_cold_io.bytes,
-               cold_rates.Median(), last_cold_io.syscalls_per_record());
+               cold_rates.Median(), "items/s",
+               last_cold_io.syscalls_per_record());
   ReportMetric("epoch_2/images_per_sec", reps, 0, last_warm_io.bytes,
-               warm_rates.Median(), last_warm_io.syscalls_per_record());
-  ReportMetric("epoch_1/images_per_sec_cv", reps, 0, 0, Cv(cold_rates));
-  ReportMetric("epoch_2/images_per_sec_cv", reps, 0, 0, Cv(warm_rates));
+               warm_rates.Median(), "items/s",
+               last_warm_io.syscalls_per_record());
+  ReportMetric("epoch_1/images_per_sec_cv", reps, 0, 0, Cv(cold_rates),
+               "ratio");
+  ReportMetric("epoch_2/images_per_sec_cv", reps, 0, 0, Cv(warm_rates),
+               "ratio");
   // Storage-fetch service tail of the cold (fetching) pass; the warm pass is
   // cache-served, so its percentiles are zero by construction.
   ReportMetric("epoch_1/fetch_p50_sec", reps, 0, 0,
-               last_cold_io.fetch_p50_sec);
+               last_cold_io.fetch_p50_sec, "s");
   ReportMetric("epoch_1/fetch_p99_sec", reps, 0, 0,
-               last_cold_io.fetch_p99_sec);
+               last_cold_io.fetch_p99_sec, "s");
   const double speedup = speedups.Median();
-  ReportMetric("epoch2_vs_epoch1_speedup", reps, 0, 0, speedup);
-  ReportMetric("epoch2_vs_epoch1_speedup_cv", reps, 0, 0, Cv(speedups));
+  ReportMetric("epoch2_vs_epoch1_speedup", reps, 0, 0, speedup, "x");
+  ReportMetric("epoch2_vs_epoch1_speedup_cv", reps, 0, 0, Cv(speedups),
+               "ratio");
   printf("\nwarm vs cold speedup: median %.1fx over %d reps (cv %.3f; "
          "expected >= 5x: warm passes skip both the storage fetch and the "
          "JPEG decode)\n",
@@ -189,9 +194,9 @@ int main(int argc, char** argv) {
                           StrFormat("%.2f", io.syscalls_per_record()),
                           StrFormat("%.2f", io.mean_submit_batch())});
     ReportMetric("backend_" + name + "/images_per_sec", reps, 0, io.bytes,
-                 backend_rates.Median(), io.syscalls_per_record());
+                 backend_rates.Median(), "items/s", io.syscalls_per_record());
     ReportMetric("backend_" + name + "/syscalls_per_record", reps, 0, 0,
-                 io.syscalls_per_record());
+                 io.syscalls_per_record(), "syscalls/record");
   }
   backend_table.Print();
   if (!UringIoSupported()) {

@@ -23,7 +23,8 @@ struct JsonMetric {
   double iterations = 0;
   double wall_seconds = 0;
   double bytes = 0;
-  double items_per_sec = 0;
+  double value = 0;
+  std::string unit;
   double syscalls_per_record = -1;  // < 0: not an I/O-stage metric.
 };
 std::string g_json_path;
@@ -92,11 +93,11 @@ void InitBench(int argc, char** argv) {
 bool SmokeMode() { return g_smoke; }
 
 void ReportMetric(const std::string& name, double iterations,
-                  double wall_seconds, double bytes, double items_per_sec,
-                  double syscalls_per_record) {
+                  double wall_seconds, double bytes, double value,
+                  const std::string& unit, double syscalls_per_record) {
   if (g_json_path.empty()) return;
   JsonMetrics().push_back(JsonMetric{name, iterations, wall_seconds, bytes,
-                                     items_per_sec, syscalls_per_record});
+                                     value, unit, syscalls_per_record});
 }
 
 void FlushJsonReport() {
@@ -135,11 +136,12 @@ void FlushJsonReport() {
     fprintf(f,
             "    {\"name\": \"%s\", \"iterations\": %.0f, "
             "\"wall_seconds\": %.9g, \"bytes\": %.0f, "
-            "\"items_per_sec\": %.9g, %s"
+            "\"value\": %.9g, \"unit\": \"%s\", %s"
             "\"kernel_path\": \"%s\", \"cpu_features\": \"%s\", "
             "\"io_backend\": \"%s\"}%s\n",
             JsonEscape(m.name).c_str(), m.iterations, m.wall_seconds, m.bytes,
-            m.items_per_sec, syscalls.c_str(), JsonEscape(kernel_path).c_str(),
+            m.value, JsonEscape(m.unit).c_str(), syscalls.c_str(),
+            JsonEscape(kernel_path).c_str(),
             JsonEscape(cpu_features).c_str(), JsonEscape(io_backend).c_str(),
             i + 1 < metrics.size() ? "," : "");
   }
@@ -369,10 +371,11 @@ void PrintTimeToAccuracy(const std::string& title,
     ReportMetric(
         title + "/group_" + std::to_string(r.scan_group) + "/epoch_seconds",
         r.curve.back().epoch, r.total_seconds, 0,
-        r.curve.back().epoch / std::max(1e-9, r.total_seconds));
+        r.curve.back().epoch / std::max(1e-9, r.total_seconds), "epochs/s");
     ReportMetric(
         title + "/group_" + std::to_string(r.scan_group) + "/final_accuracy",
-        r.curve.back().epoch, r.total_seconds, 0, r.final_accuracy);
+        r.curve.back().epoch, r.total_seconds, 0, r.final_accuracy,
+        "accuracy");
     const double t = r.SecondsToAccuracy(target);
     std::string t_str = t < 0 ? "never" : StrFormat("%.1f", t);
     std::string speedup =

@@ -45,13 +45,15 @@ bool SmokeMode();
 /// Records one benchmark summary metric for the --json report (no-op
 /// without --json). `iterations` is how many repetitions the number
 /// averages over, `wall_seconds` the measured time, `bytes` the payload
-/// bytes involved (0 when meaningless), `items_per_sec` the headline rate
-/// (0 when meaningless). `syscalls_per_record` is the I/O stage's
-/// read-syscall cost per record for wall-clock pipeline benches (< 0 =
-/// not applicable, omitted from the row). Also safe to call from shared
-/// helpers like PrintTimeToAccuracy.
+/// bytes involved (0 when meaningless), `value` the headline number (0 when
+/// meaningless) in `unit` — a rate in items/s unless the row says otherwise
+/// ("s" for a latency, "ratio" for a fairness or CV). `syscalls_per_record`
+/// is the I/O stage's read-syscall cost per record for wall-clock pipeline
+/// benches (< 0 = not applicable, omitted from the row). Also safe to call
+/// from shared helpers like PrintTimeToAccuracy.
 void ReportMetric(const std::string& name, double iterations,
-                  double wall_seconds, double bytes, double items_per_sec,
+                  double wall_seconds, double bytes, double value,
+                  const std::string& unit = "items/s",
                   double syscalls_per_record = -1.0);
 
 /// Writes the --json report now (also installed atexit by InitBench, so

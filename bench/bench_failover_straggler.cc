@@ -237,13 +237,13 @@ int main(int argc, char** argv) {
       printf("WARNING: hedged p99 improvement below the 2x gate\n");
     }
     ReportMetric("straggler/unhedged_fetch_p99_sec", reps, 0, 0,
-                 unhedged_p99.Median());
+                 unhedged_p99.Median(), "s");
     ReportMetric("straggler/hedged_fetch_p99_sec", reps, 0, 0,
-                 hedged_p99.Median());
+                 hedged_p99.Median(), "s");
     ReportMetric("straggler/unhedged_fetch_p50_sec", reps, 0, 0,
-                 unhedged_p50.Median());
+                 unhedged_p50.Median(), "s");
     ReportMetric("straggler/hedged_fetch_p50_sec", reps, 0, 0,
-                 hedged_p50.Median());
+                 hedged_p50.Median(), "s");
   }
   return 0;
 }

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       ReportMetric(spec.name + "/group_" + std::to_string(q.scan_group) +
                        "/mean_mssim",
                    options.sample_images, 0, q.mean_bytes_per_image,
-                   q.mean_mssim);
+                   q.mean_mssim, "ms-ssim");
       table.AddRow({StrFormat("%d", q.scan_group),
                     StrFormat("%.4f", q.mean_mssim),
                     StrFormat("%.4f", q.p25_mssim),

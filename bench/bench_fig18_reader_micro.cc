@@ -171,14 +171,14 @@ int main(int argc, char** argv) {
           rep_rates.Mean() > 0 ? rep_rates.Stddev() / rep_rates.Mean() : 0.0;
       ReportMetric("pipeline/group_" + std::to_string(g) + "/images_per_sec",
                    reps, 0, static_cast<double>(decode.bytes),
-                   rep_rates.Median(), io.syscalls_per_record());
+                   rep_rates.Median(), "items/s", io.syscalls_per_record());
       ReportMetric("pipeline/group_" + std::to_string(g) +
                        "/images_per_sec_cv",
-                   reps, 0, 0, cv);
+                   reps, 0, 0, cv, "ratio");
       ReportMetric("pipeline/group_" + std::to_string(g) + "/fetch_p50_sec",
-                   reps, 0, 0, io.fetch_p50_sec);
+                   reps, 0, 0, io.fetch_p50_sec, "s");
       ReportMetric("pipeline/group_" + std::to_string(g) + "/fetch_p99_sec",
-                   reps, 0, 0, io.fetch_p99_sec);
+                   reps, 0, 0, io.fetch_p99_sec, "s");
       stage_table.AddRow(
           {StrFormat("%d", g), StrFormat("%.0f", rep_rates.Median()),
            StrFormat("%.3f", cv), io.io_backend,

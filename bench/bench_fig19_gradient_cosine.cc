@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
           trainer.GradientForGroup(g, grad_examples), ref);
       ReportMetric("epoch_" + std::to_string(epoch) + "/cos_g" +
                        std::to_string(g),
-                   grad_examples, 0, 0, cos);
+                   grad_examples, 0, 0, cos, "cosine");
       row.push_back(StrFormat("%.3f", cos));
     }
     // Mixtures centered on group 1: weight w on g1, 1 on each other group.

@@ -85,7 +85,7 @@ void PrintRuns(const char* title, const std::vector<DynamicRun>& runs) {
                       "tuning schedule"});
   for (const auto& run : runs) {
     ReportMetric(std::string(title) + "/" + run.name + "/sim_seconds", 1,
-                 run.seconds, 0, run.accuracy);
+                 run.seconds, 0, run.accuracy, "accuracy");
     table.AddRow({run.name, StrFormat("%.1f", run.seconds),
                   StrFormat("%.1f", run.accuracy),
                   StrFormat("%.2fx", runs[0].seconds / run.seconds),

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
         ReportMetric(spec.name + "/" + model.name + "/group_" +
                          std::to_string(r.scan_group) + "/final_accuracy",
                      r.curve.back().epoch, r.total_seconds, 0,
-                     r.final_accuracy);
+                     r.final_accuracy, "accuracy");
         const size_t q1 = r.curve.size() / 4;
         const size_t q2 = r.curve.size() / 2;
         table.AddRow({r.scan_group == 10 ? "baseline(10)"

@@ -52,8 +52,10 @@ int main(int argc, char** argv) {
     }
     table.Print();
     const LinearFit fit = FitLinear(mssim, accuracy);
-    ReportMetric(model.name + "/fit_slope", results.size(), 0, 0, fit.slope);
-    ReportMetric(model.name + "/fit_r2", results.size(), 0, 0, fit.r2);
+    ReportMetric(model.name + "/fit_slope", results.size(), 0, 0, fit.slope,
+                 "accuracy/ms-ssim");
+    ReportMetric(model.name + "/fit_r2", results.size(), 0, 0, fit.r2,
+                 "r2");
     printf("fit: acc = %.1f * MSSIM + %.1f   r^2=%.3f  p-value=%.2e\n\n",
            fit.slope, fit.intercept, fit.r2, fit.p_value);
   }

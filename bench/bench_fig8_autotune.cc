@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
                         "speedup", "tuning schedule"});
     for (const auto& run : runs) {
       ReportMetric(model.name + "/" + run.name + "/sim_seconds", recipe.epochs,
-                   run.seconds, 0, run.accuracy);
+                   run.seconds, 0, run.accuracy, "accuracy");
       table.AddRow({run.name, StrFormat("%.1f", run.seconds),
                     StrFormat("%.1f", run.accuracy),
                     StrFormat("%.2fx", runs[0].seconds / run.seconds),

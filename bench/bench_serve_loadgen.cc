@@ -13,21 +13,28 @@
 //     reported (and floor-gated loosely) as the motivation for the
 //     shared-memory data plane follow-on, not gated at 0.85x.
 //
-// Reported metrics (CI gates in BENCH_pr9.json):
+// Reported metrics (CI gates in BENCH_pr10.json):
 //   serve_8c_jpeg/items_per_sec      aggregate served images/sec, compressed
 //   inprocess_8x_jpeg/items_per_sec  its no-daemon baseline (>= 0.85x gate)
 //   serve_8c/fairness_ratio          min/max per-client throughput under
 //                                    DRR, decoded plane (gated >= 0.7)
-//   serve_8c/batch_p99_sec           p99 request->reply seconds (the value
-//                                    rides in the items_per_sec slot, like
-//                                    bench_cache_epochs' fetch_p99 rows)
+//   serve_8c/batch_p99_sec           p99 request->reply seconds (unit "s")
+//
+// Every phase repeats kReps times, and each repetition measures a window
+// of at least kMinPhaseSeconds: all clients issue requests until the same
+// deadline, then drain their replies. A client's rate is its images over
+// that window, so the fairness ratio compares clients over equal time. The
+// reported numbers are medians over the repetitions (CVs alongside), as in
+// bench_cache_epochs.
 //
 // Each client drives a seeded Poisson arrival process (open loop: requests
 // are issued on schedule, not on completion) bounded by the stream's
 // granted in-flight cap, with one sender and one receiver thread — the
 // PcrClient split-call thread model. All phases run cache-warm (one warm
-// epoch first), so the comparison isolates serving overhead: framing,
-// socket copies, admission, and DRR arbitration.
+// epoch per daemon or cache first), so the comparison isolates serving
+// overhead: framing, socket copies, admission, and DRR arbitration. Each
+// repetition opens fresh streams, so the daemon's per-stream latency
+// histograms cover that repetition alone.
 #include <unistd.h>
 
 #include <algorithm>
@@ -59,6 +66,8 @@ namespace {
 constexpr int kClients = 8;
 constexpr int kInflight = 8;
 constexpr double kMeanInterarrival = 100e-6;  // Saturating open-loop rate.
+constexpr int kReps = 5;
+constexpr double kMinPhaseSeconds = 0.5;
 
 double NowSec() {
   return std::chrono::duration<double>(
@@ -66,79 +75,89 @@ double NowSec() {
       .count();
 }
 
-/// Counting semaphore bounding each client's in-flight requests.
-class InflightGate {
+/// A client's requests sent but not yet answered, capped at the in-flight
+/// limit. The sender counts requests in; the receiver counts replies out
+/// and learns when the sender is done and every reply has arrived.
+class Outstanding {
  public:
-  explicit InflightGate(int slots) : slots_(slots) {}
+  explicit Outstanding(int cap) : cap_(cap) {}
+  /// Sender: blocks until a slot is free, then counts one request.
   void Acquire() {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return slots_ > 0; });
-    --slots_;
+    cv_.wait(lock, [&] { return sent_ - received_ < cap_; });
+    ++sent_;
+    cv_.notify_all();
   }
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++slots_;
-    }
-    cv_.notify_one();
+  /// Sender: no more requests.
+  void Finish() {
+    std::lock_guard<std::mutex> lock(mu_);
+    finished_ = true;
+    cv_.notify_all();
+  }
+  /// Receiver: true while a reply is owed; false once the sender finished
+  /// and every reply arrived.
+  bool AwaitReply() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return sent_ > received_ || finished_; });
+    return sent_ > received_;
+  }
+  /// Receiver: one reply arrived.
+  void Received() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++received_;
+    cv_.notify_all();
   }
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  int slots_;
+  const int64_t cap_;
+  int64_t sent_ = 0;
+  int64_t received_ = 0;
+  bool finished_ = false;
 };
 
 struct ClientResult {
   int64_t images = 0;
   uint64_t bytes = 0;
-  double wall_seconds = 0;
+  double end = 0;  // When the last reply arrived.
 };
 
-/// One open-loop client: `total_batches` NextBatch requests issued on a
-/// seeded Poisson schedule (bounded by the granted in-flight cap), replies
-/// drained by a second thread. With `shm_views` the receiver consumes
-/// zero-copy ServedBatch views (touching every pixel once, as a trainer
-/// handing buffers to a framework would) instead of deep-copied replies.
+/// One open-loop client: NextBatch requests on a seeded Poisson schedule
+/// (bounded by the granted in-flight cap) from `start` until `deadline`,
+/// replies drained by a second thread. With `shm_views` the receiver
+/// consumes zero-copy ServedBatch views (touching every pixel page once, as
+/// a trainer handing buffers to a framework would) instead of deep-copied
+/// replies.
 ClientResult RunOpenLoopClient(serve::PcrClient* client, uint64_t stream_id,
-                               int total_batches, uint64_t seed,
+                               double start, double deadline, uint64_t seed,
                                bool shm_views) {
   ClientResult result;
-  InflightGate gate(kInflight);
-  std::atomic<bool> failed{false};
-
-  const double t0 = NowSec();
+  Outstanding outstanding(kInflight);
   std::thread sender([&] {
     std::mt19937_64 rng(seed);
     std::exponential_distribution<double> interarrival(
         1.0 / kMeanInterarrival);
-    double next_arrival = t0;
-    for (int k = 0; k < total_batches && !failed.load(); ++k) {
+    double next_arrival = start;
+    while (NowSec() < deadline) {
       next_arrival += interarrival(rng);
       const double now = NowSec();
       if (next_arrival > now) {
         std::this_thread::sleep_for(
             std::chrono::duration<double>(next_arrival - now));
       }
-      gate.Acquire();
+      outstanding.Acquire();
       const Status sent = client->SendNextBatchRequest(stream_id);
-      if (!sent.ok()) {
-        failed.store(true);
-        break;
-      }
+      PCR_CHECK(sent.ok()) << "client send failed: " << sent;
     }
+    outstanding.Finish();
   });
   // Defeat-the-optimizer sink for the view path's pixel reads.
   volatile uint64_t checksum = 0;
-  for (int k = 0; k < total_batches && !failed.load(); ++k) {
+  while (outstanding.AwaitReply()) {
     if (shm_views) {
       auto batch = client->ReceiveServedBatch(stream_id);
-      gate.Release();
-      if (!batch.ok()) {
-        PCR_LOG(Error) << "client receive failed: " << batch.status();
-        failed.store(true);
-        break;
-      }
+      PCR_CHECK(batch.ok()) << "client receive failed: " << batch.status();
       PCR_CHECK(!batch->end_of_stream) << "stream ended early";
       for (const serve::ServedImageView& view : batch->images()) {
         // Touch one byte per page: the consume cost of a framework that
@@ -155,12 +174,7 @@ ClientResult RunOpenLoopClient(serve::PcrClient* client, uint64_t stream_id,
       batch->Release();  // Return the slot before the next wait.
     } else {
       auto batch = client->ReceiveBatch(stream_id);
-      gate.Release();
-      if (!batch.ok()) {
-        PCR_LOG(Error) << "client receive failed: " << batch.status();
-        failed.store(true);
-        break;
-      }
+      PCR_CHECK(batch.ok()) << "client receive failed: " << batch.status();
       PCR_CHECK(!batch->end_of_stream) << "stream ended early";
       result.images += static_cast<int64_t>(batch->images.size() +
                                             batch->jpegs.size());
@@ -171,14 +185,15 @@ ClientResult RunOpenLoopClient(serve::PcrClient* client, uint64_t stream_id,
         result.bytes += jpeg.size();
       }
     }
+    outstanding.Received();
   }
   sender.join();
-  PCR_CHECK(!failed.load()) << "open-loop client failed";
-  result.wall_seconds = NowSec() - t0;
+  result.end = NowSec();
   return result;
 }
 
-struct PhaseResult {
+/// One repetition of a phase.
+struct RepResult {
   double rate = 0;
   double wall = 0;
   uint64_t bytes = 0;
@@ -192,12 +207,53 @@ struct PhaseResult {
   uint64_t bytes_copied = 0;
 };
 
-/// Full daemon phase on one data plane: start, warm one epoch, run the
-/// 8-client open loop, collect daemon-side latency stats, stop. `shm`
-/// negotiates the shared-memory plane (decoded streams) and consumes
-/// zero-copy views client-side.
+/// Fills a repetition's rates from its clients' results, all measured from
+/// the shared `start`.
+void SummarizeClients(const std::vector<ClientResult>& clients, double start,
+                      RepResult* rep) {
+  int64_t images = 0;
+  double end = start;
+  for (size_t i = 0; i < clients.size(); ++i) {
+    images += clients[i].images;
+    rep->bytes += clients[i].bytes;
+    end = std::max(end, clients[i].end);
+    const double rate = clients[i].images / (clients[i].end - start);
+    rep->min_rate = i == 0 ? rate : std::min(rep->min_rate, rate);
+    rep->max_rate = std::max(rep->max_rate, rate);
+  }
+  rep->wall = end - start;
+  rep->rate = images / rep->wall;
+  rep->fairness = rep->max_rate > 0 ? rep->min_rate / rep->max_rate : 0.0;
+}
+
+/// A phase's repetitions; every reported number is a median over them.
+struct PhaseResult {
+  std::vector<RepResult> reps;
+
+  double Median(double RepResult::*field) const {
+    SampleSet s;
+    for (const RepResult& r : reps) s.Add(r.*field);
+    return s.Median();
+  }
+  double Median(uint64_t RepResult::*field) const {
+    SampleSet s;
+    for (const RepResult& r : reps) s.Add(static_cast<double>(r.*field));
+    return s.Median();
+  }
+  double Cv(double RepResult::*field) const {
+    SampleSet s;
+    for (const RepResult& r : reps) s.Add(r.*field);
+    return s.Mean() > 0 ? s.Stddev() / s.Mean() : 0.0;
+  }
+};
+
+/// Full daemon phase on one data plane: start, warm one epoch, then kReps
+/// repetitions of the 8-client open loop, each on fresh streams with the
+/// daemon-side latency stats of those streams; stop. `shm` negotiates the
+/// shared-memory plane (decoded streams) and consumes zero-copy views
+/// client-side.
 PhaseResult RunServePhase(Env* env, const std::string& dataset_dir,
-                          bool decode, int epochs, bool shm = false) {
+                          bool decode, double seconds, bool shm = false) {
   serve::DaemonOptions options;
   options.socket_path = "/tmp/pcr_lg_" + std::to_string(::getpid()) +
                         (shm ? "_s" : (decode ? "_d" : "_j")) + ".sock";
@@ -216,7 +272,6 @@ PhaseResult RunServePhase(Env* env, const std::string& dataset_dir,
   options.serve_tokens = kClients;
   auto daemon = serve::PcrDaemon::Start(env, options).MoveValue();
 
-  int num_records = 0;
   {
     // Warm the shared caches: one stream, one epoch, drained to completion.
     auto warm =
@@ -227,86 +282,80 @@ PhaseResult RunServePhase(Env* env, const std::string& dataset_dir,
     open.shuffle = false;
     open.decode = decode;
     auto stream = warm->OpenStream(open).MoveValue();
-    num_records = static_cast<int>(stream.num_records);
-    for (int k = 0; k < num_records; ++k) {
+    for (uint32_t k = 0; k < stream.num_records; ++k) {
       auto batch = warm->NextBatch(stream.stream_id).MoveValue();
       PCR_CHECK(!batch.end_of_stream);
     }
     warm->CloseStream(stream.stream_id).MoveValue();
   }
 
-  const int batches_per_client = num_records * epochs;
   std::vector<std::unique_ptr<serve::PcrClient>> clients;
-  std::vector<uint64_t> stream_ids;
   for (int i = 0; i < kClients; ++i) {
-    auto client = serve::PcrClient::Connect(
-                      daemon->socket_path(),
-                      "loadgen-" + std::to_string(i))
-                      .MoveValue();
-    serve::OpenStreamRequest open;
-    open.dataset_dir = dataset_dir;
-    open.max_epochs = static_cast<uint32_t>(epochs);
-    open.shuffle = true;
-    open.seed = 1000 + static_cast<uint64_t>(i);
-    open.decode = decode;
-    open.max_inflight = kInflight;
-    open.shm_plane = shm;
-    auto stream = client->OpenStream(open).MoveValue();
-    PCR_CHECK(!shm || stream.shm_slots > 0)
-        << "daemon did not grant the shm plane";
-    stream_ids.push_back(stream.stream_id);
-    clients.push_back(std::move(client));
+    clients.push_back(serve::PcrClient::Connect(
+                          daemon->socket_path(),
+                          "loadgen-" + std::to_string(i))
+                          .MoveValue());
   }
-
-  std::vector<ClientResult> results(kClients);
-  const double t0 = NowSec();
-  {
-    std::vector<std::thread> threads;
-    for (int i = 0; i < kClients; ++i) {
-      threads.emplace_back([&, i] {
-        results[i] = RunOpenLoopClient(clients[i].get(), stream_ids[i],
-                                       batches_per_client,
-                                       /*seed=*/7000 + i, /*shm_views=*/shm);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-
   PhaseResult phase;
-  phase.wall = NowSec() - t0;
-  {
-    // Tail latency from the daemon's serve-stage rings (request receipt ->
-    // reply written), worst stream wins.
+  for (int rep = 0; rep < kReps; ++rep) {
+    std::vector<uint64_t> stream_ids;
+    for (int i = 0; i < kClients; ++i) {
+      serve::OpenStreamRequest open;
+      open.dataset_dir = dataset_dir;
+      // Far more epochs than the window can drain: the deadline ends it.
+      open.max_epochs = 1u << 20;
+      open.shuffle = true;
+      open.seed = 1000 + static_cast<uint64_t>(100 * rep + i);
+      open.decode = decode;
+      open.max_inflight = kInflight;
+      open.shm_plane = shm;
+      auto stream = clients[i]->OpenStream(open).MoveValue();
+      PCR_CHECK(!shm || stream.shm_slots > 0)
+          << "daemon did not grant the shm plane";
+      stream_ids.push_back(stream.stream_id);
+    }
+
+    std::vector<ClientResult> results(kClients);
+    const double start = NowSec();
+    const double deadline = start + seconds;
+    {
+      std::vector<std::thread> threads;
+      for (int i = 0; i < kClients; ++i) {
+        threads.emplace_back([&, i] {
+          results[i] = RunOpenLoopClient(
+              clients[i].get(), stream_ids[i], start, deadline,
+              /*seed=*/7000 + 100 * rep + i, /*shm_views=*/shm);
+        });
+      }
+      for (std::thread& t : threads) t.join();
+    }
+
+    RepResult r;
+    SummarizeClients(results, start, &r);
+    // Tail latency from the daemon's serve-stage histograms (request
+    // receipt -> reply written), worst stream wins.
     auto stats = clients[0]->GetStats().MoveValue();
     for (const serve::StreamStats& s : stats.streams) {
-      phase.batch_p50 = std::max(phase.batch_p50, s.batch_p50_sec);
-      phase.batch_p99 = std::max(phase.batch_p99, s.batch_p99_sec);
-      phase.queue_wait_p99 =
-          std::max(phase.queue_wait_p99, s.queue_wait_p99_sec);
-      phase.shm_batches += s.shm_batches;
-      phase.bytes_copied += s.bytes_copied;
+      r.batch_p50 = std::max(r.batch_p50, s.batch_p50_sec);
+      r.batch_p99 = std::max(r.batch_p99, s.batch_p99_sec);
+      r.queue_wait_p99 = std::max(r.queue_wait_p99, s.queue_wait_p99_sec);
+      r.shm_batches += s.shm_batches;
+      r.bytes_copied += s.bytes_copied;
     }
+    for (int i = 0; i < kClients; ++i) {
+      clients[i]->CloseStream(stream_ids[i]).MoveValue();
+    }
+    phase.reps.push_back(r);
   }
-  int64_t images = 0;
-  for (int i = 0; i < kClients; ++i) {
-    clients[i]->CloseStream(stream_ids[i]).MoveValue();
-    images += results[i].images;
-    phase.bytes += results[i].bytes;
-    const double rate = results[i].images / results[i].wall_seconds;
-    phase.min_rate = i == 0 ? rate : std::min(phase.min_rate, rate);
-    phase.max_rate = std::max(phase.max_rate, rate);
-  }
-  phase.rate = images / phase.wall;
-  phase.fairness =
-      phase.max_rate > 0 ? phase.min_rate / phase.max_rate : 0.0;
+  clients.clear();
   daemon->Stop();
   return phase;
 }
 
 /// The no-daemon baseline: the same N workloads as in-process pipelines
-/// over shared caches, warmed the same way.
+/// over shared caches, warmed the same way and timed over the same windows.
 PhaseResult RunInprocessPhase(Env* env, const std::string& dataset_dir,
-                              bool decode, int epochs) {
+                              bool decode, double seconds) {
   auto disk = PcrDataset::Open(env, dataset_dir).MoveValue();
   DecodeCacheOptions cache_options;
   cache_options.capacity_bytes = 2ull << 30;
@@ -336,36 +385,37 @@ PhaseResult RunInprocessPhase(Env* env, const std::string& dataset_dir,
     while (warm.Next().ok()) {
     }
   }
-  std::vector<int64_t> images(kClients, 0);
-  std::vector<uint64_t> bytes(kClients, 0);
-  const double t0 = NowSec();
-  {
+  PhaseResult phase;
+  for (int rep = 0; rep < kReps; ++rep) {
+    std::vector<ClientResult> results(kClients);
+    const double start = NowSec();
+    const double deadline = start + seconds;
     std::vector<std::thread> threads;
     for (int i = 0; i < kClients; ++i) {
       threads.emplace_back([&, i] {
-        LoaderPipeline pipeline(disk.get(),
-                                make_options(1000 + i, epochs, true));
-        for (;;) {
+        // max_epochs 0 streams until the deadline stops the consumer.
+        LoaderPipeline pipeline(
+            disk.get(),
+            make_options(1000 + static_cast<uint64_t>(100 * rep + i), 0,
+                         true));
+        ClientResult& result = results[i];
+        while (NowSec() < deadline) {
           auto batch = pipeline.Next();
-          if (!batch.ok()) break;
-          images[i] += batch->size();
+          PCR_CHECK(batch.ok()) << batch.status();
+          result.images += batch->size();
           for (const Image& img : batch->images) {
-            bytes[i] += img.size_bytes();
+            result.bytes += img.size_bytes();
           }
-          bytes[i] += batch->jpeg_backing.size();
+          result.bytes += batch->jpeg_backing.size();
         }
+        result.end = NowSec();
       });
     }
     for (std::thread& t : threads) t.join();
+    RepResult r;
+    SummarizeClients(results, start, &r);
+    phase.reps.push_back(r);
   }
-  PhaseResult phase;
-  phase.wall = NowSec() - t0;
-  int64_t total = 0;
-  for (int i = 0; i < kClients; ++i) {
-    total += images[i];
-    phase.bytes += bytes[i];
-  }
-  phase.rate = total / phase.wall;
   return phase;
 }
 
@@ -393,17 +443,14 @@ int main(int argc, char** argv) {
   const bool run_socket = plane != "shm";
   const bool run_shm = plane != "socket";
   pcr::bench::InitBench(argc, argv);
-  // More epochs under --smoke: the shrunk dataset leaves so few batches per
-  // epoch that per-stream fixed costs (pipeline spin-up, first-batch
-  // latency) would otherwise swamp the steady-state rates the CI gates.
-  const int epochs = SmokeMode() ? 16 : 3;
-  // The compressed plane moves ~25x less data per epoch; run it longer so
-  // its walls are long enough for the CI ratio gate to be stable.
-  const int epochs_jpeg = SmokeMode() ? 16 : 12;
+  // Each repetition's measured window. Even the smoke window spans
+  // hundreds of batches per client, where the old fixed-epoch phases ran
+  // 0.01-0.13 s and the fairness floor measured scheduling noise.
+  const double seconds = SmokeMode() ? kMinPhaseSeconds : 4 * kMinPhaseSeconds;
 
   printf("Serving daemon vs in-process loaders: %d open-loop clients, "
-         "%d epochs\n\n",
-         kClients, epochs);
+         "%d repetitions of %.1f s per phase\n\n",
+         kClients, kReps, seconds);
   const DatasetSpec spec = DatasetSpec::CelebAHqLike();
   DatasetHandle handle = GetDataset(spec);
   // The decoded phases get a wider smoke dataset. The global smoke shrink
@@ -426,23 +473,42 @@ int main(int argc, char** argv) {
 
   PhaseResult serve_jpeg, local_jpeg, serve_px, local_px, serve_shm;
   if (run_socket) {
-    serve_jpeg = RunServePhase(env, dataset_dir, /*decode=*/false,
-                               epochs_jpeg);
+    serve_jpeg = RunServePhase(env, dataset_dir, /*decode=*/false, seconds);
     local_jpeg = RunInprocessPhase(env, dataset_dir, /*decode=*/false,
-                                   epochs_jpeg);
-    serve_px = RunServePhase(env, decoded_dir, /*decode=*/true, epochs);
-    local_px = RunInprocessPhase(env, decoded_dir, /*decode=*/true, epochs);
+                                   seconds);
+    serve_px = RunServePhase(env, decoded_dir, /*decode=*/true, seconds);
+    local_px = RunInprocessPhase(env, decoded_dir, /*decode=*/true, seconds);
   }
   if (run_shm) {
-    serve_shm = RunServePhase(env, decoded_dir, /*decode=*/true, epochs,
+    serve_shm = RunServePhase(env, decoded_dir, /*decode=*/true, seconds,
                               /*shm=*/true);
   }
 
-  printf("%-34s %12s %10s %9s\n", "phase", "images/sec", "wall (s)",
-         "MiB");
+  using R = RepResult;
+  printf("%-34s %12s %7s %10s %9s %9s %7s\n", "phase (median of reps)",
+         "images/sec", "cv", "wall (s)", "MiB", "fairness", "cv");
   const auto row = [](const char* name, const PhaseResult& r) {
-    printf("%-34s %12.1f %10.2f %9.1f\n", name, r.rate, r.wall,
-           r.bytes / (1024.0 * 1024.0));
+    printf("%-34s %12.1f %7.3f %10.2f %9.1f %9.2f %7.3f\n", name,
+           r.Median(&R::rate), r.Cv(&R::rate), r.Median(&R::wall),
+           r.Median(&R::bytes) / (1024.0 * 1024.0), r.Median(&R::fairness),
+           r.Cv(&R::fairness));
+  };
+  const auto latency = [](const char* name, const PhaseResult& r) {
+    printf("latency (%s): batch p50 %.2f ms  p99 %.2f ms  queue-wait p99 "
+           "%.2f ms\n",
+           name, r.Median(&R::batch_p50) * 1e3, r.Median(&R::batch_p99) * 1e3,
+           r.Median(&R::queue_wait_p99) * 1e3);
+  };
+  const auto fairness = [](const char* name, const PhaseResult& r) {
+    printf("fairness (%s) per rep:", name);
+    for (const RepResult& rep : r.reps) {
+      printf(" %.2f (%.0f/%.0f)", rep.fairness, rep.min_rate, rep.max_rate);
+    }
+    printf("; median %.2f\n", r.Median(&R::fairness));
+  };
+  const auto ratio = [](const PhaseResult& num, const PhaseResult& den) {
+    const double d = den.Median(&R::rate);
+    return d > 0 ? num.Median(&R::rate) / d : 0.0;
   };
   if (run_socket) {
     row("serve 8c (compressed plane)", serve_jpeg);
@@ -453,77 +519,61 @@ int main(int argc, char** argv) {
   if (run_shm) row("serve 8c (decoded, shm plane)", serve_shm);
   if (run_socket) {
     printf("\ncompressed-plane serve/in-process ratio: %.2fx (gated)\n",
-           local_jpeg.rate > 0 ? serve_jpeg.rate / local_jpeg.rate : 0.0);
+           ratio(serve_jpeg, local_jpeg));
     printf("decoded-socket   serve/in-process ratio: %.2fx\n",
-           local_px.rate > 0 ? serve_px.rate / local_px.rate : 0.0);
-    printf("fairness (decoded, socket): min %.1f max %.1f images/sec "
-           "(ratio %.2f)\n",
-           serve_px.min_rate, serve_px.max_rate, serve_px.fairness);
-    printf("latency (compressed): batch p50 %.2f ms  p99 %.2f ms  "
-           "queue-wait p99 %.2f ms\n",
-           serve_jpeg.batch_p50 * 1e3, serve_jpeg.batch_p99 * 1e3,
-           serve_jpeg.queue_wait_p99 * 1e3);
-    printf("latency (decoded):    batch p50 %.2f ms  p99 %.2f ms  "
-           "queue-wait p99 %.2f ms\n",
-           serve_px.batch_p50 * 1e3, serve_px.batch_p99 * 1e3,
-           serve_px.queue_wait_p99 * 1e3);
+           ratio(serve_px, local_px));
+    fairness("decoded, socket", serve_px);
+    latency("compressed", serve_jpeg);
+    latency("decoded", serve_px);
   }
   if (run_shm) {
-    printf("latency (shm):        batch p50 %.2f ms  p99 %.2f ms  "
-           "queue-wait p99 %.2f ms\n",
-           serve_shm.batch_p50 * 1e3, serve_shm.batch_p99 * 1e3,
-           serve_shm.queue_wait_p99 * 1e3);
-    printf("shm plane: %llu descriptor batches, %.1f MiB copied "
-           "daemon-side (one placement copy per batch)\n",
-           static_cast<unsigned long long>(serve_shm.shm_batches),
-           serve_shm.bytes_copied / (1024.0 * 1024.0));
-    printf("fairness (shm): min %.1f max %.1f images/sec (ratio %.2f)\n",
-           serve_shm.min_rate, serve_shm.max_rate, serve_shm.fairness);
+    latency("shm", serve_shm);
+    printf("shm plane: %.0f descriptor batches, %.1f MiB copied daemon-side "
+           "per rep (one placement copy per batch)\n",
+           serve_shm.Median(&R::shm_batches),
+           serve_shm.Median(&R::bytes_copied) / (1024.0 * 1024.0));
+    fairness("shm", serve_shm);
   }
   if (run_socket && run_shm) {
     printf("\nshm/socket decoded-plane ratio: %.2fx (gated >= 3x "
            "within-run)\n",
-           serve_px.rate > 0 ? serve_shm.rate / serve_px.rate : 0.0);
+           ratio(serve_shm, serve_px));
   }
 
+  const auto report = [](const std::string& prefix, const PhaseResult& r,
+                         bool served) {
+    const double wall = r.Median(&R::wall);
+    ReportMetric(prefix + "/items_per_sec", kClients * kReps, wall,
+                 r.Median(&R::bytes), r.Median(&R::rate));
+    ReportMetric(prefix + "/items_per_sec_cv", kReps, wall, 0,
+                 r.Cv(&R::rate), "ratio");
+    if (!served) return;
+    ReportMetric(prefix + "/fairness_ratio", kClients * kReps, wall, 0,
+                 r.Median(&R::fairness), "ratio");
+    ReportMetric(prefix + "/fairness_ratio_cv", kReps, wall, 0,
+                 r.Cv(&R::fairness), "ratio");
+    ReportMetric(prefix + "/batch_p50_sec", kClients * kReps, wall, 0,
+                 r.Median(&R::batch_p50), "s");
+    ReportMetric(prefix + "/batch_p99_sec", kClients * kReps, wall, 0,
+                 r.Median(&R::batch_p99), "s");
+    ReportMetric(prefix + "/queue_wait_p99_sec", kClients * kReps, wall, 0,
+                 r.Median(&R::queue_wait_p99), "s");
+  };
   if (run_socket) {
-    ReportMetric("serve_8c_jpeg/items_per_sec", kClients, serve_jpeg.wall,
-                 static_cast<double>(serve_jpeg.bytes), serve_jpeg.rate);
-    ReportMetric("inprocess_8x_jpeg/items_per_sec", kClients,
-                 local_jpeg.wall, static_cast<double>(local_jpeg.bytes),
-                 local_jpeg.rate);
-    ReportMetric("serve_8c_jpeg/batch_p99_sec", kClients, serve_jpeg.wall, 0,
-                 serve_jpeg.batch_p99);
-    ReportMetric("serve_8c/items_per_sec", kClients, serve_px.wall,
-                 static_cast<double>(serve_px.bytes), serve_px.rate);
-    ReportMetric("inprocess_8x/items_per_sec", kClients, local_px.wall,
-                 static_cast<double>(local_px.bytes), local_px.rate);
-    ReportMetric("serve_8c/client_min/items_per_sec", 1, serve_px.wall, 0,
-                 serve_px.min_rate);
-    ReportMetric("serve_8c/client_max/items_per_sec", 1, serve_px.wall, 0,
-                 serve_px.max_rate);
-    ReportMetric("serve_8c/fairness_ratio", kClients, serve_px.wall, 0,
-                 serve_px.fairness);
-    ReportMetric("serve_8c/batch_p50_sec", kClients, serve_px.wall, 0,
-                 serve_px.batch_p50);
-    ReportMetric("serve_8c/batch_p99_sec", kClients, serve_px.wall, 0,
-                 serve_px.batch_p99);
-    ReportMetric("serve_8c/queue_wait_p99_sec", kClients, serve_px.wall, 0,
-                 serve_px.queue_wait_p99);
+    report("serve_8c_jpeg", serve_jpeg, true);
+    report("inprocess_8x_jpeg", local_jpeg, false);
+    report("serve_8c", serve_px, true);
+    report("inprocess_8x", local_px, false);
+    ReportMetric("serve_8c/client_min/items_per_sec", kReps,
+                 serve_px.Median(&R::wall), 0, serve_px.Median(&R::min_rate));
+    ReportMetric("serve_8c/client_max/items_per_sec", kReps,
+                 serve_px.Median(&R::wall), 0, serve_px.Median(&R::max_rate));
   }
   if (run_shm) {
-    ReportMetric("serve_8c_shm/items_per_sec", kClients, serve_shm.wall,
-                 static_cast<double>(serve_shm.bytes), serve_shm.rate);
-    ReportMetric("serve_8c_shm/fairness_ratio", kClients, serve_shm.wall, 0,
-                 serve_shm.fairness);
-    ReportMetric("serve_8c_shm/batch_p50_sec", kClients, serve_shm.wall, 0,
-                 serve_shm.batch_p50);
-    ReportMetric("serve_8c_shm/batch_p99_sec", kClients, serve_shm.wall, 0,
-                 serve_shm.batch_p99);
-    ReportMetric("serve_8c_shm/queue_wait_p99_sec", kClients, serve_shm.wall,
-                 0, serve_shm.queue_wait_p99);
-    ReportMetric("serve_8c_shm/shm_batches", kClients, serve_shm.wall, 0,
-                 static_cast<double>(serve_shm.shm_batches));
+    report("serve_8c_shm", serve_shm, true);
+    ReportMetric("serve_8c_shm/shm_batches", kClients * kReps,
+                 serve_shm.Median(&R::wall), 0,
+                 serve_shm.Median(&R::shm_batches), "count");
   }
   return 0;
 }

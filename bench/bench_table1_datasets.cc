@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
                  handle.pcr->num_records(), 0,
                  static_cast<double>(rec_bytes),
                  static_cast<double>(pcr_bytes) /
-                     static_cast<double>(rec_bytes));
+                     static_cast<double>(rec_bytes),
+                 "ratio");
     table.AddRow({spec.name,
                   StrFormat("%d", handle.pcr->num_records()),
                   StrFormat("%d", handle.pcr->num_images()),

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/pcr_dataset.h"
 #include "data/dataset_spec.h"
@@ -20,6 +21,7 @@
 #include "serve/daemon.h"
 #include "storage/env.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 
 using namespace pcr;
 
@@ -98,12 +100,18 @@ int main(int argc, char** argv) {
          static_cast<long long>(images), pixel_bytes / (1024.0 * 1024.0));
 
   auto stats = client->GetStats(stream.stream_id).MoveValue();
+  const auto print_entries = [](const std::vector<MetricEntry>& entries) {
+    for (const MetricEntry& e : entries) {
+      printf("   %-28s %.6g\n", e.name.c_str(), e.value);
+    }
+  };
+  printf("== daemon stats:\n");
+  print_entries(stats.entries);
   for (const serve::StreamStats& s : stats.streams) {
-    printf("== daemon stats: %lld batches, batch p50 %.2f ms p99 %.2f ms, "
-           "cache %lld hits / %lld misses\n",
-           static_cast<long long>(s.served_batches), s.batch_p50_sec * 1e3,
-           s.batch_p99_sec * 1e3, static_cast<long long>(s.cache_hits),
-           static_cast<long long>(s.cache_misses));
+    printf("== stream %llu (%s) stats:\n",
+           static_cast<unsigned long long>(s.stream_id),
+           s.client_name.c_str());
+    print_entries(s.entries);
   }
   client->CloseStream(stream.stream_id).MoveValue();
   printf("done.\n");

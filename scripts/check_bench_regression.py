@@ -53,8 +53,8 @@ run (e.g. a SIMD tier the runner's CPU cannot execute, reported as a
 skipped benchmark with no rate) is skipped with a note, not failed.
 
 "value_checks" gate a single metric of one current run against absolute
-bounds. "max_value" is the lower-is-better mode — the metric slot carries
-a latency in seconds (e.g. a p99) and the check is a ceiling; "min_value"
+bounds. "max_value" is the lower-is-better mode — the metric is a latency
+in seconds (e.g. a p99) and the check is a ceiling; "min_value"
 floors quantities like a fairness ratio or a machine-independent rate. An
 entry carries "min_value", "max_value", or both; a metric absent from the
 current run is skipped with a note, like ratio checks, but a present value
@@ -72,7 +72,8 @@ floor, not skip):
 
 Supported input shapes (auto-detected):
   * google-benchmark JSON:   {"benchmarks": [{"name", "items_per_second"}]}
-  * bench_common --json:     {"metrics": [{"name", "items_per_sec"}]}
+  * bench_common --json:     {"metrics": [{"name", "value", "unit"}]}
+    (runs written before the typed schema carry "items_per_sec" instead)
   * committed baseline:      {"items_per_second": {"<key>": {name: value}}}
     (select <key> with --baseline-key), or a flat {name: value} map.
 
@@ -86,8 +87,15 @@ import statistics
 import sys
 
 
+def metric_value(m):
+    """A bench_common row's number: "value", or "items_per_sec" in runs
+    written before rows carried a value and a unit."""
+    return float(m.get("value", m.get("items_per_sec", 0)))
+
+
 def extract_items_per_sec(data, baseline_key=None, keep_nonpositive=False):
-    """Returns {benchmark name: items per second} from any supported shape.
+    """Returns {benchmark name: value} from any supported shape: items per
+    second for rate rows, the row's own unit for the rest.
 
     Zero/negative rates are dropped by default — they mean "benchmark
     skipped on this runner" to the ratio checks and would divide-by-zero
@@ -110,9 +118,9 @@ def extract_items_per_sec(data, baseline_key=None, keep_nonpositive=False):
                 for name, values in runs.items()}
     if "metrics" in data:  # bench_common --json format.
         return {
-            m["name"]: float(m["items_per_sec"])
+            m["name"]: metric_value(m)
             for m in data["metrics"]
-            if keep_nonpositive or float(m.get("items_per_sec", 0)) > 0
+            if keep_nonpositive or metric_value(m) > 0
         }
     if "items_per_second" in data:  # Committed BENCH_*.json baseline.
         table = data["items_per_second"]

@@ -176,15 +176,16 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
   };
 
   // Worker-local recent fetch latencies drive the hedge deadline: hedging
-  // keys off this worker's own observed service times. The shared stage
-  // ring (io_stats_) feeds reporting only.
+  // keys off this worker's own observed service times. The stage histogram
+  // (io_stats_.fetch) feeds reporting only.
   constexpr size_t kLatencyWindow = 256;
   constexpr int64_t kMinHedgeSamples = 16;
   std::vector<double> recent_latencies;
   recent_latencies.reserve(kLatencyWindow);
   size_t latency_cursor = 0;
   int64_t latency_count = 0;
-  auto record_latency = [&](double seconds) {
+  auto record_latency = [&](int64_t nanos) {
+    const double seconds = static_cast<double>(nanos) * 1e-9;
     if (recent_latencies.size() < kLatencyWindow) {
       recent_latencies.push_back(seconds);
     } else {
@@ -192,7 +193,7 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       latency_cursor = (latency_cursor + 1) % kLatencyWindow;
     }
     ++latency_count;
-    io_stats_.AddFetchLatency(seconds);
+    io_stats_.fetch.Record(nanos);
   };
   // The adaptive hedge deadline in nanos, or -1 while too few fetches have
   // completed to estimate the percentile.
@@ -211,17 +212,23 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
 
   // Duplicates any fetch past its deadline to its next untried alternate
   // (first completion wins the slot). Returns nanos until the earliest
-  // not-yet-due hedge, or -1 when nothing is eligible.
+  // not-yet-due hedge, or -1 when nothing is eligible. The deadline sorts
+  // the latency window, so it is computed only once some slot can hedge —
+  // never for replica-less sources, whose plans carry no alternates.
   auto maybe_hedge = [&]() -> int64_t {
     if (!options_.hedged_reads || in_flight == 0) return -1;
-    const int64_t deadline = hedge_deadline_nanos();
-    if (deadline < 0) return -1;
-    const int64_t now = NowNanos();
+    int64_t deadline = -1;
+    int64_t now = 0;
     int64_t next_wait = -1;
     for (int s = 0; s < window; ++s) {
       Slot& slot = slots[static_cast<size_t>(s)];
       if (slot.branches != 1 || slot.hedged) continue;
       if (slot.next_alternate >= slot.plan.alternates.size()) continue;
+      if (deadline < 0) {
+        deadline = hedge_deadline_nanos();
+        if (deadline < 0) return -1;
+        now = NowNanos();
+      }
       const int64_t age = now - slot.submit_nanos;
       if (age < deadline) {
         const int64_t wait = deadline - age;
@@ -244,7 +251,7 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       slot.hedge_alternate = static_cast<int>(slot.next_alternate);
       ++slot.next_alternate;
       slot.branches = 2;
-      io_stats_.AddHedge();
+      io_stats_.hedges.Add();
     }
     return next_wait;
   };
@@ -262,19 +269,18 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       prefixes->Insert(prefix_id, slot.plan.record, raw->scan_group,
                        std::make_shared<const std::string>(raw->payload));
     }
-    io_stats_.AddBusyNanos(NowNanos() - complete_start);
+    io_stats_.busy.Add(NowNanos() - complete_start);
     free_slots.push_back(slot_index);
     if (!raw.ok()) {
       RecordError(raw.status().WithContext("loader I/O stage"));
       return false;
     }
-    io_stats_.AddItem(raw->bytes_read);
+    io_stats_.items.Add();
+    io_stats_.bytes.Add(raw->bytes_read);
     const int64_t push_start = NowNanos();
     const bool pushed = fetch_queue_.Push(std::move(raw).MoveValue());
-    io_stats_.AddIdleNanos(NowNanos() - push_start);
-    if (!pushed) return false;  // Queue closed: Stop() or a stage failure.
-    io_stats_.SampleQueueDepth(fetch_queue_.size());
-    return true;
+    io_stats_.idle.Add(NowNanos() - push_start);
+    return pushed;  // False: queue closed by Stop() or a stage failure.
   };
 
   // The whole plan as one request: adjacent segments become one vectored op
@@ -326,23 +332,24 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       if (cache != nullptr) {
         const DecodeCacheKey key{options_.cache_dataset_id, record, group};
         if (auto cached = cache->Lookup(key)) {
-          io_stats_.AddCacheHit();
+          io_stats_.cache_hits.Add();
           // Zero-copy delivery: alias the cache's entry instead of deep-
           // copying it. The wrapper's bytes_read = 0 records that this
           // delivery read nothing from storage (the shared entry keeps the
           // original fetch size for its own books).
-          io_stats_.AddZeroCopyHit(DecodeCache::BatchBytes(*cached));
+          io_stats_.zero_copy_hits.Add();
+          io_stats_.zero_copy_bytes.Add(DecodeCache::BatchBytes(*cached));
           SharedLoadedBatch item;
           item.batch = std::move(cached);
           item.bytes_read = 0;
           item.zero_copy = true;
           const int64_t push_start = NowNanos();
           const bool pushed = output_queue_.Push(std::move(item));
-          io_stats_.AddIdleNanos(NowNanos() - push_start);
+          io_stats_.idle.Add(NowNanos() - push_start);
           if (!pushed) running = false;  // Queue closed: Stop()/failure.
           continue;
         }
-        io_stats_.AddCacheMiss();
+        io_stats_.cache_misses.Add();
       }
 
       const int64_t plan_start = NowNanos();
@@ -350,15 +357,15 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       if (prefixes != nullptr) {
         resident = prefixes->Lookup(prefix_id, record);
         if (resident.has_value()) {
-          io_stats_.AddPrefixHit();
+          io_stats_.prefix_hits.Add();
         } else {
-          io_stats_.AddPrefixMiss();
+          io_stats_.prefix_misses.Add();
         }
       }
       auto plan = source_->PlanFetch(
           record, group, resident.has_value() ? &*resident : nullptr);
       if (!plan.ok()) {
-        io_stats_.AddBusyNanos(NowNanos() - plan_start);
+        io_stats_.busy.Add(NowNanos() - plan_start);
         RecordError(plan.status().WithContext("loader I/O stage"));
         running = false;
         break;
@@ -372,18 +379,18 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       if (slot.plan.fetch_bytes() == 0) {
         // Fully resident (or empty): no storage I/O, complete right away.
         // No outcome report — replica health scores storage attempts only.
-        io_stats_.AddBusyNanos(NowNanos() - plan_start);
+        io_stats_.busy.Add(NowNanos() - plan_start);
         if (!finish_slot(slot_index, std::string())) running = false;
         continue;
       }
       if (!submit_slot(slot_index)) {
-        io_stats_.AddBusyNanos(NowNanos() - plan_start);
+        io_stats_.busy.Add(NowNanos() - plan_start);
         running = false;
         break;
       }
       ++in_flight;
-      io_stats_.SampleInFlight(in_flight);
-      io_stats_.AddBusyNanos(NowNanos() - plan_start);
+      io_stats_.in_flight.Record(in_flight);
+      io_stats_.busy.Add(NowNanos() - plan_start);
     }
     if (!running || in_flight == 0) break;  // Epoch limit reached or torn down.
 
@@ -440,7 +447,7 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       }
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
-    io_stats_.AddBusyNanos(NowNanos() - wait_start);
+    io_stats_.busy.Add(NowNanos() - wait_start);
     if (!running || !completion.has_value()) break;
 
     // Match the completion to its slot through the cookie. A stale
@@ -460,17 +467,16 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
         // The duplicate finished first: the slot's plan becomes the
         // alternate it ran against (CompleteFetch and replica scoring
         // route by the plan's replica).
-        io_stats_.AddHedgeWin();
+        io_stats_.hedge_wins.Add();
         slot.plan.UseAlternate(
             slot.plan.alternates[static_cast<size_t>(slot.hedge_alternate)]);
       }
       source_->ReportFetchOutcome(slot.plan, completion->status);
-      record_latency(static_cast<double>(NowNanos() - slot.submit_nanos) *
-                     1e-9);
+      record_latency(NowNanos() - slot.submit_nanos);
       ++slot.generation;  // A still-racing twin is now a dead letter.
       slot.branches = 0;
       --in_flight;
-      io_stats_.SampleInFlight(in_flight);
+      io_stats_.in_flight.Record(in_flight);
       if (!finish_slot(slot_index, std::move(completion->bytes))) break;
       continue;
     }
@@ -491,7 +497,7 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       slot.plan.UseAlternate(slot.plan.alternates[slot.next_alternate]);
       ++slot.next_alternate;
       ++slot.generation;  // New attempt; strays of the old one are dead.
-      io_stats_.AddFailover();
+      io_stats_.failovers.Add();
       if (!submit_slot(slot_index)) {
         running = false;
         break;
@@ -557,7 +563,7 @@ void LoaderPipeline::DecodeWorkerLoop() {
     const size_t claim = std::clamp<size_t>(share, 1, kDecodePopBatch);
     const int64_t pop_start = NowNanos();
     fetch_queue_.PopMany(claim, &claimed);
-    decode_stats_.AddIdleNanos(NowNanos() - pop_start);
+    decode_stats_.idle.Add(NowNanos() - pop_start);
     if (claimed.empty()) break;  // Upstream sealed and drained.
 
     // Claimed records count as in flight until their batch is in the
@@ -575,13 +581,14 @@ void LoaderPipeline::DecodeWorkerLoop() {
       const uint64_t bytes = raw.bytes_read;
       const int64_t work_start = NowNanos();
       auto batch = AssembleAndDecode(std::move(raw), &scratch);
-      decode_stats_.AddBusyNanos(NowNanos() - work_start);
+      decode_stats_.busy.Add(NowNanos() - work_start);
       if (!batch.ok()) {
         RecordError(batch.status().WithContext("loader decode stage"));
         running = false;
         break;
       }
-      decode_stats_.AddItem(bytes);
+      decode_stats_.items.Add();
+      decode_stats_.bytes.Add(bytes);
 
       // Cache population: the copy happens here, off the consumer path and
       // before the push (so the consumer's batch stays uniquely owned and
@@ -597,8 +604,7 @@ void LoaderPipeline::DecodeWorkerLoop() {
         if (cache->Admits(cache_key, DecodeCache::BatchBytes(*batch))) {
           const int64_t copy_start = NowNanos();
           to_cache.emplace(*batch);
-          decode_stats_.AddBytesCopied(DecodeCache::BatchBytes(*batch));
-          decode_stats_.AddBusyNanos(NowNanos() - copy_start);
+          decode_stats_.busy.Add(NowNanos() - copy_start);
         }
       }
 
@@ -616,7 +622,7 @@ void LoaderPipeline::DecodeWorkerLoop() {
       decode_in_flight_.fetch_sub(1, std::memory_order_relaxed);
       const int64_t push_start = NowNanos();
       const bool pushed = output_queue_.Push(std::move(item));
-      decode_stats_.AddIdleNanos(NowNanos() - push_start);
+      decode_stats_.idle.Add(NowNanos() - push_start);
       if (!pushed) {  // Queue closed: Stop() or a stage failure.
         running = false;
         break;
@@ -624,7 +630,6 @@ void LoaderPipeline::DecodeWorkerLoop() {
       if (to_cache.has_value()) {
         cache->Insert(cache_key, std::move(*to_cache));
       }
-      decode_stats_.SampleQueueDepth(output_queue_.size());
     }
     // Un-mark any records this visit abandoned.
     if (done < claimed.size()) {
@@ -724,9 +729,7 @@ StageStatsSnapshot LoaderPipeline::io_stats() const {
   const char* backend = io_backend_name_.load(std::memory_order_relaxed);
   if (backend != nullptr) snap.io_backend = backend;
   if (options_.decode_cache != nullptr) {
-    const DecodeCacheStats cache = options_.decode_cache->stats();
-    snap.cache_evictions = cache.evictions;
-    snap.cache_bytes = cache.bytes_in_use;
+    snap.cache_bytes = options_.decode_cache->stats().bytes_in_use;
   }
   return snap;
 }
@@ -734,6 +737,11 @@ StageStatsSnapshot LoaderPipeline::io_stats() const {
 StageStatsSnapshot LoaderPipeline::decode_stats() const {
   return decode_stats_.Snapshot("decode", options_.decode_threads,
                                 output_queue_.capacity());
+}
+
+std::vector<MetricEntry> LoaderPipeline::io_metrics(
+    const std::string& prefix) const {
+  return io_stats_.set.Snapshot(prefix);
 }
 
 }  // namespace pcr

@@ -17,11 +17,11 @@
 //                  output queue the consumer pops from.
 //
 // Each stage has independently sized thread counts and queue depths, its own
-// StageStats (busy/idle time, items, bytes, queue occupancy), and consumer
-// stalls are attributed to the stage that caused them: a stall with an empty
-// raw queue and no decode in flight is storage's fault (io-bound), anything
-// else means decode could not keep up (decode-bound) — the Figure 11/18
-// breakdown the paper's data-stall analysis needs.
+// StageStats (busy/idle time, items, bytes, cache and storage counters),
+// and consumer stalls are attributed to the stage that caused them: a stall
+// with an empty raw queue and no decode in flight is storage's fault
+// (io-bound), anything else means decode could not keep up (decode-bound) —
+// the Figure 11/18 breakdown the paper's data-stall analysis needs.
 //
 // Failures in either stage record the first non-OK Status, drain the
 // pipeline, and surface from Next(); with max_epochs set, Next() returns
@@ -158,9 +158,9 @@ class LoaderPipeline {
   Result<LoadedBatch> Next();
 
   /// Like Next() but hands out the batch under shared ownership: cache hits
-  /// are delivered by reference to the cache's entry (no copy — counted in
-  /// io_stats().zero_copy_hits), misses as the sole reference to the decoded
-  /// batch. The serving daemon's data plane consumes this form.
+  /// are delivered by reference to the cache's entry (no copy — counted by
+  /// the I/O stage's zero_copy_hits metric), misses as the sole reference to
+  /// the decoded batch. The serving daemon's data plane consumes this form.
   Result<SharedLoadedBatch> NextShared();
 
   /// Stops both stages; undecoded queued work is dropped, while batches the
@@ -186,8 +186,9 @@ class LoaderPipeline {
 
   StageStatsSnapshot io_stats() const;
   StageStatsSnapshot decode_stats() const;
-
-  size_t records_per_epoch() const { return sampler_->records_per_epoch(); }
+  /// Every I/O-stage metric by name, each prefixed by `prefix` (the
+  /// serving daemon forwards these).
+  std::vector<MetricEntry> io_metrics(const std::string& prefix) const;
 
   /// Swaps the per-record quality policy on the live pipeline (dynamic
   /// tuning). Tickets already fetched or queued keep their old group; new
@@ -195,18 +196,10 @@ class LoaderPipeline {
   /// DecodeCache::InvalidateScanGroup to drop just the outgoing group.
   void set_scan_policy(std::shared_ptr<ScanGroupPolicy> policy);
 
-  /// The decoded-record cache in use (null when caching is off) and this
-  /// pipeline's key namespace inside it.
+  /// The decoded-record cache in use (null when caching is off).
   const std::shared_ptr<DecodeCache>& decode_cache() const {
     return options_.decode_cache;
   }
-  uint64_t cache_dataset_id() const { return options_.cache_dataset_id; }
-
-  /// The raw scan-prefix cache in use (null when off) and its namespace.
-  const std::shared_ptr<PrefixCache>& prefix_cache() const {
-    return options_.prefix_cache;
-  }
-  uint64_t prefix_dataset_id() const { return options_.prefix_dataset_id; }
 
  private:
   void IoWorkerLoop(uint64_t seed);

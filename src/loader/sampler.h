@@ -31,7 +31,6 @@ class RecordSampler {
   }
 
   int epoch() const { return epoch_; }
-  size_t records_per_epoch() const { return order_.size(); }
   /// Records remaining before the current epoch ends.
   size_t remaining_in_epoch() const { return order_.size() - cursor_; }
 

@@ -25,8 +25,8 @@
 namespace pcr::serve {
 namespace {
 
-double NowSec() {
-  return std::chrono::duration<double>(
+int64_t NowNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
@@ -45,6 +45,21 @@ std::string CanonicalPath(const std::string& path) {
 constexpr int kStreamIoThreads = 1;
 constexpr int kStreamIoInflight = 4;
 constexpr IoBackend kStreamIoBackend = IoBackend::kAuto;
+
+/// Sends `data` from byte `sent` on, retrying interrupted sends.
+Status SendAll(int fd, const std::string& data, size_t sent) {
+  while (sent < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("serve: send(): " +
+                             std::string(std::strerror(errno)));
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
 
 uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -86,7 +101,7 @@ struct PcrDaemon::Stream {
   uint32_t max_inflight = 1;
 
   // Serve state, guarded by the daemon's serve_mu_.
-  std::deque<double> pending;  // NextBatch receipt times (steady seconds).
+  std::deque<int64_t> pending;  // NextBatch receipt times (steady nanos).
   int64_t deficit = 0;         // DRR: starts at 0; the first round tops it up.
   bool in_service = false;     // A serve worker is delivering for it.
   bool slot_wait = false;      // Parked batch, every shm slot lent out.
@@ -97,8 +112,7 @@ struct PcrDaemon::Stream {
   bool end_of_stream = false;
   std::optional<SharedLoadedBatch> parked;  // Popped, waiting on a slot.
 
-  StageStats stats;  // Serve stage: items = served batches.
-  std::atomic<int64_t> served_images{0};
+  StreamMetrics metrics;
 
   // Shm data plane. Like the pipeline, segment and ring are assigned before
   // the stream is published and never reset afterwards, so serve workers
@@ -248,6 +262,12 @@ void PcrDaemon::Stop() {
 int PcrDaemon::active_streams() const {
   std::lock_guard<std::mutex> lock(serve_mu_);
   return static_cast<int>(streams_.size());
+}
+
+std::shared_ptr<PcrDaemon::Stream> PcrDaemon::FindStream(uint64_t id) const {
+  std::lock_guard<std::mutex> lock(serve_mu_);
+  auto it = streams_.find(id);
+  return it == streams_.end() ? nullptr : it->second;
 }
 
 // --- Accept / read / dispatch ----------------------------------------------
@@ -595,7 +615,7 @@ void PcrDaemon::HandleNextBatch(const std::shared_ptr<Connection>& conn,
           " requests in flight (cap " + std::to_string(stream->max_inflight) +
           ")");
     } else {
-      stream->pending.push_back(NowSec());
+      stream->pending.push_back(NowNanos());
     }
   }
   if (!refusal.ok()) {
@@ -612,12 +632,7 @@ void PcrDaemon::HandleShmAck(const std::shared_ptr<Connection>& conn,
     SendError(conn, ack.status(), 0);
     return;
   }
-  std::shared_ptr<Stream> stream;
-  {
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    auto it = streams_.find(ack->stream_id);
-    if (it != streams_.end()) stream = it->second;
-  }
+  const std::shared_ptr<Stream> stream = FindStream(ack->stream_id);
   if (!stream || stream->conn.get() != conn.get() || !stream->ring) {
     return;  // Unknown/foreign stream or no plane offered: nothing to ack.
   }
@@ -636,12 +651,7 @@ void PcrDaemon::HandleReleaseSlot(const std::shared_ptr<Connection>& conn,
     SendError(conn, req.status(), 0);
     return;
   }
-  std::shared_ptr<Stream> stream;
-  {
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    auto it = streams_.find(req->stream_id);
-    if (it != streams_.end()) stream = it->second;
-  }
+  const std::shared_ptr<Stream> stream = FindStream(req->stream_id);
   if (!stream || stream->conn.get() != conn.get() || !stream->ring) return;
   // Out-of-range slots and stale/forged generation cookies are dropped by
   // the ring itself — a hostile credit cannot free someone else's tenancy.
@@ -673,13 +683,8 @@ void PcrDaemon::HandleCloseStream(const std::shared_ptr<Connection>& conn,
     SendError(conn, req.status(), 0);
     return;
   }
-  bool known = false;
-  {
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    auto it = streams_.find(req->stream_id);
-    known = it != streams_.end() && it->second->conn.get() == conn.get();
-  }
-  if (!known) {
+  const std::shared_ptr<Stream> stream = FindStream(req->stream_id);
+  if (!stream || stream->conn.get() != conn.get()) {
     SendError(conn,
               Status::NotFound("serve: no such stream " +
                                std::to_string(req->stream_id)),
@@ -706,7 +711,7 @@ void PcrDaemon::ServeWorkerLoop() {
     // Other streams still wait: pass the wakeup on to an idle worker.
     if (more) work_cv_.notify_one();
     stream->in_service = true;
-    const double receipt = stream->pending.front();
+    const int64_t receipt = stream->pending.front();
     stream->pending.pop_front();
     lock.unlock();
     const ServeOutcome outcome = ServeBatch(stream.get(), receipt);
@@ -764,10 +769,12 @@ std::shared_ptr<PcrDaemon::Stream> PcrDaemon::PickStreamLocked(bool* more) {
   return best;
 }
 
-PcrDaemon::ServeOutcome PcrDaemon::ServeBatch(Stream* stream, double receipt) {
+PcrDaemon::ServeOutcome PcrDaemon::ServeBatch(Stream* stream,
+                                              int64_t receipt) {
   ServeOutcome outcome;
+  StreamMetrics& metrics = stream->metrics;
   // A parked batch already counted its queue wait when it was first popped.
-  if (!stream->parked) stream->stats.AddQueueWait(NowSec() - receipt);
+  if (!stream->parked) metrics.queue_wait.Record(NowNanos() - receipt);
 
   BatchReply reply;             // Socket plane and end-of-stream.
   reply.stream_id = stream->id;
@@ -809,7 +816,7 @@ PcrDaemon::ServeOutcome PcrDaemon::ServeBatch(Stream* stream, double receipt) {
           // the stream and free the worker — the wait is this stream's
           // alone, and other streams keep flowing. The client's ReleaseSlot
           // makes the stream eligible again.
-          stream->stats.AddShmSlotWait();
+          metrics.shm_slot_waits.Add();
           stream->parked = std::move(next).MoveValue();
           return outcome;
         }
@@ -840,7 +847,7 @@ PcrDaemon::ServeOutcome PcrDaemon::ServeBatch(Stream* stream, double receipt) {
         desc.slot = slot->first;
         desc.generation = slot->second;
         desc.payload_bytes = pixel_bytes;
-        stream->stats.AddBytesCopied(pixel_bytes);
+        metrics.bytes_copied.Add(pixel_bytes);
       } else {
         reply.record_index = batch.record_index;
         reply.scan_group = static_cast<uint32_t>(batch.scan_group);
@@ -863,12 +870,10 @@ PcrDaemon::ServeOutcome PcrDaemon::ServeBatch(Stream* stream, double receipt) {
         }
         // Socket serialization moves the payload twice: into the wire
         // structs above, and again into the encoded frame below.
-        stream->stats.AddBytesCopied(2 * (pixel_bytes + jpeg_bytes));
+        metrics.bytes_copied.Add(2 * (pixel_bytes + jpeg_bytes));
       }
-      stream->served_images.fetch_add(
-          static_cast<int64_t>(batch.images.size() +
-                               batch.jpeg_spans.size()),
-          std::memory_order_relaxed);
+      metrics.served_images.Add(batch.images.size() +
+                                batch.jpeg_spans.size());
     } else if (next.status().IsOutOfRange()) {
       stream->end_of_stream = true;
       reply.end_of_stream = true;
@@ -899,8 +904,9 @@ PcrDaemon::ServeOutcome PcrDaemon::ServeBatch(Stream* stream, double receipt) {
       // Count the delivery before writing it: the client can observe the
       // frame and immediately query stats, so the counters must already
       // include the batch it is about to receive.
-      stream->stats.AddItem(reply_bytes);
-      if (use_shm) stream->stats.AddShmBatch();
+      metrics.served_batches.Add();
+      metrics.served_bytes.Add(reply_bytes);
+      if (use_shm) metrics.shm_batches.Add();
       outcome.charge = reply_bytes;
       const Status write =
           WriteFrame(*stream->conn,
@@ -908,11 +914,7 @@ PcrDaemon::ServeOutcome PcrDaemon::ServeBatch(Stream* stream, double receipt) {
                              : MessageType::kBatchReply,
                      Slice(payload));
       outcome.failure = write;  // Peer gone; its reader tears us down.
-      stream->stats.AddBatchLatency(NowSec() - receipt);
-      {
-        std::lock_guard<std::mutex> lock(serve_mu_);
-        stream->stats.SampleQueueDepth(stream->pending.size());
-      }
+      metrics.batch.Record(NowNanos() - receipt);
     }
   }
   return outcome;
@@ -928,18 +930,7 @@ Status PcrDaemon::WriteFrame(Connection& conn, MessageType type,
   PCR_RETURN_IF_ERROR(CheckFramePayloadSize(payload.size()));
   const std::string frame = EncodeFrame(type, payload);
   std::lock_guard<std::mutex> lock(conn.write_mu);
-  size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(conn.fd, frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("serve: send(): " +
-                             std::string(std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  return SendAll(conn.fd, frame, 0);
 }
 
 Status PcrDaemon::WriteFrameWithFd(Connection& conn, MessageType type,
@@ -973,18 +964,7 @@ Status PcrDaemon::WriteFrameWithFd(Connection& conn, MessageType type,
     return Status::IOError("serve: sendmsg(SCM_RIGHTS): " +
                            std::string(std::strerror(errno)));
   }
-  size_t sent = static_cast<size_t>(n);
-  while (sent < frame.size()) {
-    const ssize_t m = ::send(conn.fd, frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
-    if (m < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("serve: send(): " +
-                             std::string(std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(m);
-  }
-  return Status::OK();
+  return SendAll(conn.fd, frame, static_cast<size_t>(n));
 }
 
 void PcrDaemon::SendError(const std::shared_ptr<Connection>& conn,
@@ -1088,7 +1068,7 @@ void PcrDaemon::TeardownStream(uint64_t stream_id) {
   }
   // The pipeline is deliberately NOT reset here: a BuildStats that copied
   // this stream's shared_ptr before the erase above may still be reading
-  // io_stats() off the (stopped) pipeline. The Stream destructor frees it
+  // io_metrics() off the (stopped) pipeline. The Stream destructor frees it
   // when the last reference drops. The dataset stays open with it — the
   // stream's DatasetEntry ref keeps the PcrDataset the pipeline points at
   // alive; ReleaseDataset only drops the registry entry and cache share.
@@ -1109,46 +1089,36 @@ void PcrDaemon::TeardownConnection(const std::shared_ptr<Connection>& conn) {
 StatsReply PcrDaemon::BuildStats(uint64_t stream_id) {
   StatsReply reply;
   std::vector<std::shared_ptr<Stream>> streams;
+  size_t active = 0;
   {
     std::lock_guard<std::mutex> lock(serve_mu_);
-    reply.active_streams = static_cast<uint32_t>(streams_.size());
+    active = streams_.size();
     for (const auto& [id, stream] : streams_) {
       if (stream_id == 0 || id == stream_id) streams.push_back(stream);
     }
   }
-  reply.max_streams = static_cast<uint32_t>(options_.max_streams);
   const DecodeCacheStats cache = decode_cache_->stats();
-  reply.cache_bytes_in_use = cache.bytes_in_use;
-  reply.cache_capacity_bytes = cache.capacity_bytes;
-  reply.cache_hits = cache.hits;
-  reply.cache_misses = cache.misses;
+  const MetricKind gauge = MetricKind::kGauge;
+  const MetricKind counter = MetricKind::kCounter;
+  reply.entries = {
+      {"active_streams", gauge, double(active)},
+      {"max_streams", gauge, double(options_.max_streams)},
+      {"decode_cache.bytes_in_use", gauge, double(cache.bytes_in_use)},
+      {"decode_cache.capacity_bytes", gauge, double(cache.capacity_bytes)},
+      {"decode_cache.hits", counter, double(cache.hits)},
+      {"decode_cache.misses", counter, double(cache.misses)},
+  };
   for (const auto& stream : streams) {
-    const StageStatsSnapshot serve =
-        stream->stats.Snapshot("serve", 1, stream->max_inflight);
+    StreamStats out;
+    out.stream_id = stream->id;
+    out.client_name = stream->client_name;
+    out.entries = stream->metrics.set.Snapshot();
     // Safe without serve_mu_ even against a concurrent TeardownStream:
     // the pipeline is assigned before the stream is published in streams_
     // and never reset afterwards (teardown only Stop()s it; the Stream
     // destructor frees it), so this shared_ptr copy pins a live pipeline.
-    const StageStatsSnapshot io = stream->pipeline->io_stats();
-    StreamStats out;
-    out.stream_id = stream->id;
-    out.client_name = stream->client_name;
-    out.served_batches = serve.items;
-    out.served_images = stream->served_images.load(std::memory_order_relaxed);
-    out.served_bytes = serve.bytes;
-    out.queue_wait_p50_sec = serve.queue_wait_p50_sec;
-    out.queue_wait_p99_sec = serve.queue_wait_p99_sec;
-    out.batch_p50_sec = serve.batch_p50_sec;
-    out.batch_p99_sec = serve.batch_p99_sec;
-    out.cache_hits = io.cache_hits;
-    out.cache_misses = io.cache_misses;
-    out.shm_batches = serve.shm_batches;
-    out.shm_slot_waits = serve.shm_slot_waits;
-    out.bytes_copied = serve.bytes_copied;
-    // Zero-copy cache hits happen in the pipeline's IO stage (the cache
-    // entry is handed out by reference instead of deep-copied).
-    out.zero_copy_hits = io.zero_copy_hits;
-    out.zero_copy_bytes = io.zero_copy_bytes;
+    const std::vector<MetricEntry> io = stream->pipeline->io_metrics("io.");
+    out.entries.insert(out.entries.end(), io.begin(), io.end());
     reply.streams.push_back(std::move(out));
   }
   return reply;

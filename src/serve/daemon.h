@@ -35,6 +35,10 @@
 // client's ReleaseSlot makes the stream eligible again. Stop() is bounded
 // even with clients blocked in NextBatch: it shuts the sockets down and
 // stops every pipeline, which unblocks the serve workers.
+//
+// Observability: a Stats reply names every metric a stream registered in
+// its StreamMetrics, then its pipeline's I/O-stage metrics under "io.", so
+// a new metric reaches clients with no protocol change.
 #pragma once
 
 #include <atomic>
@@ -51,9 +55,9 @@
 #include "loader/decode_cache.h"
 #include "loader/pipeline.h"
 #include "loader/prefix_cache.h"
-#include "loader/stage_stats.h"
 #include "serve/protocol.h"
 #include "storage/env.h"
+#include "util/metrics.h"
 #include "util/result.h"
 
 namespace pcr::serve {
@@ -101,6 +105,25 @@ struct DaemonOptions {
   /// must reject it at fstat validation and fall back cleanly).
   bool shm_fail_fd_pass_for_test = false;
   bool shm_undersize_segment_for_test = false;
+};
+
+/// One stream's serve-stage metrics, each declared and registered here
+/// once. Latencies are recorded in nanoseconds and reported in seconds.
+struct StreamMetrics {
+  MetricSet set;
+  Counter& served_batches = set.AddCounter("served_batches");
+  Counter& served_images = set.AddCounter("served_images");
+  /// Reply frame bytes plus, on the shm plane, the pixels placed in a slot.
+  Counter& served_bytes = set.AddCounter("served_bytes");
+  /// Request receipt -> service start, and receipt -> reply written.
+  Histogram& queue_wait = set.AddHistogram("queue_wait_sec", 1e-9);
+  Histogram& batch = set.AddHistogram("batch_sec", 1e-9);
+  Counter& shm_batches = set.AddCounter("shm_batches");
+  /// Deliveries parked because the client held every shm slot.
+  Counter& shm_slot_waits = set.AddCounter("shm_slot_waits");
+  /// Payload bytes memcpy'd: once into a slot on the shm plane, twice
+  /// (wire struct, then frame) on the socket plane.
+  Counter& bytes_copied = set.AddCounter("bytes_copied");
 };
 
 class PcrDaemon {
@@ -175,8 +198,8 @@ class PcrDaemon {
   /// serve_mu_.
   std::shared_ptr<Stream> PickStreamLocked(bool* more);
   /// Delivers the stream's next batch for the request received at
-  /// `receipt` (steady seconds). Caller marked the stream in service.
-  ServeOutcome ServeBatch(Stream* stream, double receipt);
+  /// `receipt` (steady nanoseconds). Caller marked the stream in service.
+  ServeOutcome ServeBatch(Stream* stream, int64_t receipt);
 
   /// Serializes + writes one frame under the connection's write lock.
   Status WriteFrame(Connection& conn, MessageType type, Slice payload);
@@ -200,6 +223,8 @@ class PcrDaemon {
   void TeardownConnection(const std::shared_ptr<Connection>& conn);
 
   StatsReply BuildStats(uint64_t stream_id);
+  /// The published stream with this id, or null.
+  std::shared_ptr<Stream> FindStream(uint64_t id) const;
 
   Env* env_;
   DaemonOptions options_;

@@ -79,13 +79,96 @@ Status CheckFramePayloadSize(uint64_t payload_bytes,
 // Decoders tolerate unknown fields (skip) for forward compatibility, fail
 // on malformed wire data, and leave absent fields at their defaults.
 
-#define PCR_SERVE_DECODE_LOOP(payload, field_var, body)              \
+#define PCR_SERVE_DECODE_LOOP(payload, field_var, ...)               \
   wire::WireReader reader_(payload);                                 \
   wire::WireField field_var;                                         \
   while (reader_.Next(&field_var)) {                                 \
-    switch (field_var.field) { body default : break; }               \
+    switch (field_var.field) { __VA_ARGS__ default : break; }        \
   }                                                                  \
   PCR_RETURN_IF_ERROR(reader_.status())
+
+namespace {
+
+void PutLabels(wire::WireWriter* w, int field,
+               const std::vector<int64_t>& labels) {
+  std::vector<uint64_t> packed;
+  packed.reserve(labels.size());
+  for (const int64_t v : labels) packed.push_back(wire::ZigZagEncode(v));
+  w->PutPackedUint64(field, packed);
+}
+
+Status DecodeLabels(Slice bytes, std::vector<int64_t>* labels) {
+  PCR_ASSIGN_OR_RETURN(std::vector<uint64_t> packed,
+                       wire::WireReader::DecodePackedUint64(bytes));
+  labels->reserve(packed.size());
+  for (const uint64_t v : packed) labels->push_back(wire::ZigZagDecode(v));
+  return Status::OK();
+}
+
+Status AppendImage(Slice bytes, std::vector<WireImage>* images) {
+  WireImage img;
+  PCR_SERVE_DECODE_LOOP(
+      bytes, f,
+      case 1 : img.width = static_cast<uint32_t>(f.varint);
+      break; case 2 : img.height = static_cast<uint32_t>(f.varint);
+      break; case 3 : img.channels = static_cast<uint32_t>(f.varint);
+      break; case 4 : img.pixels = f.bytes.ToString(); break;);
+  const uint64_t want =
+      static_cast<uint64_t>(img.width) * img.height * img.channels;
+  if (img.pixels.size() != want) {
+    return Status::Corruption("serve batch: image pixel bytes " +
+                              std::to_string(img.pixels.size()) +
+                              " != w*h*c " + std::to_string(want));
+  }
+  images->push_back(std::move(img));
+  return Status::OK();
+}
+
+Status AppendImageDesc(Slice bytes, std::vector<WireImageDesc>* images) {
+  WireImageDesc img;
+  PCR_SERVE_DECODE_LOOP(
+      bytes, f,
+      case 1 : img.width = static_cast<uint32_t>(f.varint);
+      break; case 2 : img.height = static_cast<uint32_t>(f.varint);
+      break; case 3 : img.channels = static_cast<uint32_t>(f.varint);
+      break; case 4 : img.offset = f.varint;
+      break; case 5 : img.length = f.varint; break;);
+  const uint64_t want =
+      static_cast<uint64_t>(img.width) * img.height * img.channels;
+  if (img.length != want) {
+    return Status::Corruption("serve descriptor: image length " +
+                              std::to_string(img.length) + " != w*h*c " +
+                              std::to_string(want));
+  }
+  images->push_back(img);
+  return Status::OK();
+}
+
+// Every Stats scope codes its entries the same way: one embedded message
+// per entry, {1: name, 2: kind, 3: value}.
+void PutEntries(wire::WireWriter* w, int field,
+                const std::vector<MetricEntry>& entries) {
+  for (const MetricEntry& entry : entries) {
+    wire::WireWriter ew;
+    ew.PutString(1, entry.name);
+    ew.PutUint64(2, static_cast<uint64_t>(entry.kind));
+    ew.PutDouble(3, entry.value);
+    w->PutMessage(field, ew);
+  }
+}
+
+Status AppendEntry(Slice bytes, std::vector<MetricEntry>* entries) {
+  MetricEntry entry;
+  PCR_SERVE_DECODE_LOOP(
+      bytes, f,
+      case 1 : entry.name = f.bytes.ToString();
+      break; case 2 : entry.kind = static_cast<MetricKind>(f.varint);
+      break; case 3 : entry.value = f.AsDouble(); break;);
+  entries->push_back(std::move(entry));
+  return Status::OK();
+}
+
+}  // namespace
 
 std::string HelloRequest::Encode() const {
   wire::WireWriter w;
@@ -206,12 +289,7 @@ std::string BatchReply::Encode() const {
   w.PutBool(2, end_of_stream);
   w.PutSint64(3, record_index);
   w.PutUint64(4, scan_group);
-  std::vector<uint64_t> packed_labels;
-  packed_labels.reserve(labels.size());
-  for (const int64_t label : labels) {
-    packed_labels.push_back(wire::ZigZagEncode(label));
-  }
-  w.PutPackedUint64(5, packed_labels);
+  PutLabels(&w, 5, labels);
   for (const WireImage& img : images) {
     wire::WireWriter iw;
     iw.PutUint64(1, img.width);
@@ -227,66 +305,16 @@ std::string BatchReply::Encode() const {
 
 Result<BatchReply> BatchReply::Decode(Slice payload) {
   BatchReply msg;
-  wire::WireReader reader(payload);
-  wire::WireField f;
-  while (reader.Next(&f)) {
-    switch (f.field) {
-      case 1:
-        msg.stream_id = f.varint;
-        break;
-      case 2:
-        msg.end_of_stream = f.varint != 0;
-        break;
-      case 3:
-        msg.record_index = static_cast<int32_t>(f.AsSint64());
-        break;
-      case 4:
-        msg.scan_group = static_cast<uint32_t>(f.varint);
-        break;
-      case 5: {
-        PCR_ASSIGN_OR_RETURN(std::vector<uint64_t> packed,
-                             wire::WireReader::DecodePackedUint64(f.bytes));
-        msg.labels.reserve(packed.size());
-        for (const uint64_t v : packed) {
-          msg.labels.push_back(wire::ZigZagDecode(v));
-        }
-        break;
-      }
-      case 6: {
-        WireImage img;
-        wire::WireReader ir(f.bytes);
-        wire::WireField imf;
-        while (ir.Next(&imf)) {
-          switch (imf.field) {
-            case 1: img.width = static_cast<uint32_t>(imf.varint); break;
-            case 2: img.height = static_cast<uint32_t>(imf.varint); break;
-            case 3: img.channels = static_cast<uint32_t>(imf.varint); break;
-            case 4: img.pixels = imf.bytes.ToString(); break;
-            default: break;
-          }
-        }
-        PCR_RETURN_IF_ERROR(ir.status());
-        const uint64_t want = static_cast<uint64_t>(img.width) * img.height *
-                              img.channels;
-        if (img.pixels.size() != want) {
-          return Status::Corruption("serve batch: image pixel bytes " +
-                                    std::to_string(img.pixels.size()) +
-                                    " != w*h*c " + std::to_string(want));
-        }
-        msg.images.push_back(std::move(img));
-        break;
-      }
-      case 7:
-        msg.jpegs.push_back(f.bytes.ToString());
-        break;
-      case 8:
-        msg.bytes_read = f.varint;
-        break;
-      default:
-        break;
-    }
-  }
-  PCR_RETURN_IF_ERROR(reader.status());
+  PCR_SERVE_DECODE_LOOP(
+      payload, f,
+      case 1 : msg.stream_id = f.varint;
+      break; case 2 : msg.end_of_stream = f.varint != 0;
+      break; case 3 : msg.record_index = static_cast<int32_t>(f.AsSint64());
+      break; case 4 : msg.scan_group = static_cast<uint32_t>(f.varint);
+      break; case 5 : PCR_RETURN_IF_ERROR(DecodeLabels(f.bytes, &msg.labels));
+      break; case 6 : PCR_RETURN_IF_ERROR(AppendImage(f.bytes, &msg.images));
+      break; case 7 : msg.jpegs.push_back(f.bytes.ToString());
+      break; case 8 : msg.bytes_read = f.varint; break;);
   return msg;
 }
 
@@ -330,12 +358,7 @@ std::string BatchDescriptorReply::Encode() const {
   w.PutUint64(1, stream_id);
   w.PutSint64(2, record_index);
   w.PutUint64(3, scan_group);
-  std::vector<uint64_t> packed_labels;
-  packed_labels.reserve(labels.size());
-  for (const int64_t label : labels) {
-    packed_labels.push_back(wire::ZigZagEncode(label));
-  }
-  w.PutPackedUint64(4, packed_labels);
+  PutLabels(&w, 4, labels);
   w.PutUint64(5, bytes_read);
   w.PutUint64(6, slot);
   w.PutUint64(7, generation);
@@ -354,70 +377,19 @@ std::string BatchDescriptorReply::Encode() const {
 
 Result<BatchDescriptorReply> BatchDescriptorReply::Decode(Slice payload) {
   BatchDescriptorReply msg;
-  wire::WireReader reader(payload);
-  wire::WireField f;
-  while (reader.Next(&f)) {
-    switch (f.field) {
-      case 1:
-        msg.stream_id = f.varint;
-        break;
-      case 2:
-        msg.record_index = static_cast<int32_t>(f.AsSint64());
-        break;
-      case 3:
-        msg.scan_group = static_cast<uint32_t>(f.varint);
-        break;
-      case 4: {
-        PCR_ASSIGN_OR_RETURN(std::vector<uint64_t> packed,
-                             wire::WireReader::DecodePackedUint64(f.bytes));
-        msg.labels.reserve(packed.size());
-        for (const uint64_t v : packed) {
-          msg.labels.push_back(wire::ZigZagDecode(v));
-        }
-        break;
-      }
-      case 5:
-        msg.bytes_read = f.varint;
-        break;
-      case 6:
-        msg.slot = static_cast<uint32_t>(f.varint);
-        break;
-      case 7:
-        msg.generation = f.varint;
-        break;
-      case 8:
-        msg.payload_bytes = f.varint;
-        break;
-      case 9: {
-        WireImageDesc img;
-        wire::WireReader ir(f.bytes);
-        wire::WireField imf;
-        while (ir.Next(&imf)) {
-          switch (imf.field) {
-            case 1: img.width = static_cast<uint32_t>(imf.varint); break;
-            case 2: img.height = static_cast<uint32_t>(imf.varint); break;
-            case 3: img.channels = static_cast<uint32_t>(imf.varint); break;
-            case 4: img.offset = imf.varint; break;
-            case 5: img.length = imf.varint; break;
-            default: break;
-          }
-        }
-        PCR_RETURN_IF_ERROR(ir.status());
-        const uint64_t want = static_cast<uint64_t>(img.width) * img.height *
-                              img.channels;
-        if (img.length != want) {
-          return Status::Corruption("serve descriptor: image length " +
-                                    std::to_string(img.length) +
-                                    " != w*h*c " + std::to_string(want));
-        }
-        msg.images.push_back(img);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  PCR_RETURN_IF_ERROR(reader.status());
+  PCR_SERVE_DECODE_LOOP(
+      payload, f,
+      case 1 : msg.stream_id = f.varint;
+      break; case 2 : msg.record_index = static_cast<int32_t>(f.AsSint64());
+      break; case 3 : msg.scan_group = static_cast<uint32_t>(f.varint);
+      break; case 4 : PCR_RETURN_IF_ERROR(DecodeLabels(f.bytes, &msg.labels));
+      break; case 5 : msg.bytes_read = f.varint;
+      break; case 6 : msg.slot = static_cast<uint32_t>(f.varint);
+      break; case 7 : msg.generation = f.varint;
+      break; case 8 : msg.payload_bytes = f.varint;
+      break; case 9
+      : PCR_RETURN_IF_ERROR(AppendImageDesc(f.bytes, &msg.images));
+      break;);
   return msg;
 }
 
@@ -482,87 +454,64 @@ Result<StatsRequest> StatsRequest::Decode(Slice payload) {
 
 namespace {
 
-std::string EncodeStreamStats(const StreamStats& s) {
-  wire::WireWriter w;
-  w.PutUint64(1, s.stream_id);
-  w.PutString(2, s.client_name);
-  w.PutInt64(3, s.served_batches);
-  w.PutInt64(4, s.served_images);
-  w.PutUint64(5, s.served_bytes);
-  w.PutDouble(6, s.queue_wait_p50_sec);
-  w.PutDouble(7, s.queue_wait_p99_sec);
-  w.PutDouble(8, s.batch_p50_sec);
-  w.PutDouble(9, s.batch_p99_sec);
-  w.PutInt64(10, s.cache_hits);
-  w.PutInt64(11, s.cache_misses);
-  w.PutInt64(12, s.shm_batches);
-  w.PutInt64(13, s.shm_slot_waits);
-  w.PutUint64(14, s.bytes_copied);
-  w.PutInt64(15, s.zero_copy_hits);
-  w.PutUint64(16, s.zero_copy_bytes);
-  return w.Release();
+/// StreamStats' name table: which entry fills which view field.
+const std::vector<ViewField<StreamStats>>& StreamStatsFields() {
+  using S = StreamStats;
+  static const std::vector<ViewField<S>> kFields = {
+      {"served_batches", &S::served_batches},
+      {"served_images", &S::served_images},
+      {"served_bytes", &S::served_bytes},
+      {"queue_wait_sec.p50", &S::queue_wait_p50_sec},
+      {"queue_wait_sec.p99", &S::queue_wait_p99_sec},
+      {"batch_sec.p50", &S::batch_p50_sec},
+      {"batch_sec.p99", &S::batch_p99_sec},
+      {"io.cache_hits", &S::cache_hits},
+      {"io.cache_misses", &S::cache_misses},
+      {"shm_batches", &S::shm_batches},
+      {"shm_slot_waits", &S::shm_slot_waits},
+      {"bytes_copied", &S::bytes_copied},
+      {"io.zero_copy_hits", &S::zero_copy_hits},
+      {"io.zero_copy_bytes", &S::zero_copy_bytes},
+  };
+  return kFields;
 }
 
-Result<StreamStats> DecodeStreamStats(Slice payload) {
+Status AppendStreamStats(Slice bytes, std::vector<StreamStats>* streams) {
   StreamStats s;
   PCR_SERVE_DECODE_LOOP(
-      payload, f,
+      bytes, f,
       case 1 : s.stream_id = f.varint;
       break; case 2 : s.client_name = f.bytes.ToString();
-      break; case 3 : s.served_batches = static_cast<int64_t>(f.varint);
-      break; case 4 : s.served_images = static_cast<int64_t>(f.varint);
-      break; case 5 : s.served_bytes = f.varint;
-      break; case 6 : s.queue_wait_p50_sec = f.AsDouble();
-      break; case 7 : s.queue_wait_p99_sec = f.AsDouble();
-      break; case 8 : s.batch_p50_sec = f.AsDouble();
-      break; case 9 : s.batch_p99_sec = f.AsDouble();
-      break; case 10 : s.cache_hits = static_cast<int64_t>(f.varint);
-      break; case 11 : s.cache_misses = static_cast<int64_t>(f.varint);
-      break; case 12 : s.shm_batches = static_cast<int64_t>(f.varint);
-      break; case 13 : s.shm_slot_waits = static_cast<int64_t>(f.varint);
-      break; case 14 : s.bytes_copied = f.varint;
-      break; case 15 : s.zero_copy_hits = static_cast<int64_t>(f.varint);
-      break; case 16 : s.zero_copy_bytes = f.varint; break;);
-  return s;
+      break; case 3 : PCR_RETURN_IF_ERROR(AppendEntry(f.bytes, &s.entries));
+      break;);
+  FillView(s.entries, StreamStatsFields(), &s);
+  streams->push_back(std::move(s));
+  return Status::OK();
 }
 
 }  // namespace
 
 std::string StatsReply::Encode() const {
   wire::WireWriter w;
-  w.PutUint64(1, active_streams);
-  w.PutUint64(2, max_streams);
-  w.PutUint64(3, cache_bytes_in_use);
-  w.PutUint64(4, cache_capacity_bytes);
-  w.PutInt64(5, cache_hits);
-  w.PutInt64(6, cache_misses);
+  PutEntries(&w, 1, entries);
   for (const StreamStats& s : streams) {
-    w.PutBytes(7, Slice(EncodeStreamStats(s)));
+    wire::WireWriter sw;
+    sw.PutUint64(1, s.stream_id);
+    sw.PutString(2, s.client_name);
+    PutEntries(&sw, 3, s.entries);
+    w.PutMessage(2, sw);
   }
   return w.Release();
 }
 
 Result<StatsReply> StatsReply::Decode(Slice payload) {
   StatsReply msg;
-  wire::WireReader reader(payload);
-  wire::WireField f;
-  while (reader.Next(&f)) {
-    switch (f.field) {
-      case 1: msg.active_streams = static_cast<uint32_t>(f.varint); break;
-      case 2: msg.max_streams = static_cast<uint32_t>(f.varint); break;
-      case 3: msg.cache_bytes_in_use = f.varint; break;
-      case 4: msg.cache_capacity_bytes = f.varint; break;
-      case 5: msg.cache_hits = static_cast<int64_t>(f.varint); break;
-      case 6: msg.cache_misses = static_cast<int64_t>(f.varint); break;
-      case 7: {
-        PCR_ASSIGN_OR_RETURN(StreamStats s, DecodeStreamStats(f.bytes));
-        msg.streams.push_back(std::move(s));
-        break;
-      }
-      default: break;
-    }
-  }
-  PCR_RETURN_IF_ERROR(reader.status());
+  PCR_SERVE_DECODE_LOOP(
+      payload, f,
+      case 1 : PCR_RETURN_IF_ERROR(AppendEntry(f.bytes, &msg.entries));
+      break; case 2
+      : PCR_RETURN_IF_ERROR(AppendStreamStats(f.bytes, &msg.streams));
+      break;);
   return msg;
 }
 

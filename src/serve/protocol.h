@@ -61,6 +61,7 @@
 #include <string>
 #include <vector>
 
+#include "util/metrics.h"
 #include "util/result.h"
 #include "util/slice.h"
 #include "util/status.h"
@@ -68,7 +69,8 @@
 namespace pcr::serve {
 
 /// Protocol revision; Hello negotiates it (the daemon rejects mismatches).
-inline constexpr uint32_t kProtocolVersion = 1;
+/// v2: StatsReply carries named metric entries.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Hard ceiling a FrameParser/reader enforces before allocating. Large
 /// enough for a decoded record batch of full-resolution images, small
@@ -326,25 +328,24 @@ struct StatsRequest {
   static Result<StatsRequest> Decode(Slice payload);
 };
 
-/// Per-stream serving counters (the serve-stage StageStats snapshot).
+/// One stream's metrics, as named entries: the serve stage's StreamMetrics
+/// (serve/daemon.h) and, under an "io." prefix, its pipeline I/O stage's
+/// StageStats. Only the id, client name and entries travel; Decode fills
+/// the read-side view fields below from the entries.
 struct StreamStats {
   uint64_t stream_id = 0;
   std::string client_name;
+  std::vector<MetricEntry> entries;
+
   int64_t served_batches = 0;
   int64_t served_images = 0;
   uint64_t served_bytes = 0;
-  /// Request receipt -> service start (admission/fairness queueing).
-  double queue_wait_p50_sec = 0;
+  double queue_wait_p50_sec = 0;  // Request receipt -> service start.
   double queue_wait_p99_sec = 0;
-  /// Request receipt -> reply written (the client-visible service tail).
-  double batch_p50_sec = 0;
+  double batch_p50_sec = 0;  // Request receipt -> reply written.
   double batch_p99_sec = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
-  /// Data-plane accounting: batches that went out as shm descriptors (the
-  /// rest used the socket plane), serve-stage blocks waiting for a slot
-  /// credit, payload bytes the serve stage memcpy'd, and pipeline cache
-  /// hits delivered zero-copy with the bytes those hits did not copy.
   int64_t shm_batches = 0;
   int64_t shm_slot_waits = 0;
   uint64_t bytes_copied = 0;
@@ -352,13 +353,10 @@ struct StreamStats {
   uint64_t zero_copy_bytes = 0;
 };
 
+/// Daemon-scope entries (stream count, admission cap, shared decode cache)
+/// and one StreamStats per stream asked for.
 struct StatsReply {
-  uint32_t active_streams = 0;
-  uint32_t max_streams = 0;
-  uint64_t cache_bytes_in_use = 0;
-  uint64_t cache_capacity_bytes = 0;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
+  std::vector<MetricEntry> entries;
   std::vector<StreamStats> streams;
 
   std::string Encode() const;

@@ -34,12 +34,14 @@
 #include "data/dataset_spec.h"
 #include "jpeg/codec.h"
 #include "loader/pipeline.h"
+#include "loader/stage_stats.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "storage/env.h"
 #include "storage/io_backend.h"
 #include "test_util.h"
+#include "util/metrics.h"
 #include "util/shm_ring.h"
 
 namespace pcr::serve {
@@ -198,6 +200,69 @@ TEST(ProtocolTest, MessageDecodeSurvivesPayloadTruncation) {
   EXPECT_EQ(full->images[0].pixels, img.pixels);
   ASSERT_EQ(full->jpegs.size(), 1u);
   EXPECT_EQ(full->jpegs[0], reply.jpegs[0]);
+}
+
+/// Every metric a daemon stream registers, named as a Stats reply sends
+/// it: the serve stage's own, then its pipeline I/O stage's under "io.".
+std::vector<MetricEntry> RegisteredStreamMetrics() {
+  std::vector<MetricEntry> entries = StreamMetrics().set.Snapshot();
+  for (MetricEntry& entry : StageStats().set.Snapshot("io.")) {
+    entries.push_back(std::move(entry));
+  }
+  return entries;
+}
+
+TEST(ProtocolTest, StatsRoundTripEveryRegisteredMetric) {
+  StatsReply reply;
+  reply.entries = {{"active_streams", MetricKind::kGauge, 3},
+                   {"decode_cache.hits", MetricKind::kCounter, 1e12}};
+  StreamStats stream;
+  stream.stream_id = 7;
+  stream.client_name = "trainer-7";
+  stream.entries = RegisteredStreamMetrics();
+  ASSERT_GT(stream.entries.size(), 30u);
+  double value = 1;
+  for (MetricEntry& entry : stream.entries) {
+    entry.value = value++;  // Distinct per entry; whole for count fields.
+  }
+  reply.streams.push_back(stream);
+  reply.streams.push_back(StreamStats{});  // An empty scope survives too.
+
+  auto decoded = StatsReply::Decode(Slice(reply.Encode()));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->entries, reply.entries);
+  ASSERT_EQ(decoded->streams.size(), 2u);
+  const StreamStats& got = decoded->streams[0];
+  EXPECT_EQ(got.stream_id, 7u);
+  EXPECT_EQ(got.client_name, "trainer-7");
+  EXPECT_EQ(got.entries, stream.entries);
+  EXPECT_TRUE(decoded->streams[1].entries.empty());
+  // The view fields come from the entries by name.
+  const auto value_of = [&](const std::string& name) {
+    const MetricEntry* entry = FindMetric(stream.entries, name);
+    EXPECT_NE(entry, nullptr) << name;
+    return entry == nullptr ? -1.0 : entry->value;
+  };
+  EXPECT_EQ(got.served_batches, value_of("served_batches"));
+  EXPECT_EQ(got.served_images, value_of("served_images"));
+  EXPECT_EQ(got.served_bytes, value_of("served_bytes"));
+  EXPECT_EQ(got.queue_wait_p50_sec, value_of("queue_wait_sec.p50"));
+  EXPECT_EQ(got.queue_wait_p99_sec, value_of("queue_wait_sec.p99"));
+  EXPECT_EQ(got.batch_p50_sec, value_of("batch_sec.p50"));
+  EXPECT_EQ(got.batch_p99_sec, value_of("batch_sec.p99"));
+  EXPECT_EQ(got.cache_hits, value_of("io.cache_hits"));
+  EXPECT_EQ(got.cache_misses, value_of("io.cache_misses"));
+  EXPECT_EQ(got.shm_batches, value_of("shm_batches"));
+  EXPECT_EQ(got.shm_slot_waits, value_of("shm_slot_waits"));
+  EXPECT_EQ(got.bytes_copied, value_of("bytes_copied"));
+  EXPECT_EQ(got.zero_copy_hits, value_of("io.zero_copy_hits"));
+  EXPECT_EQ(got.zero_copy_bytes, value_of("io.zero_copy_bytes"));
+
+  // Truncated payloads fail or decode shorter, never crash.
+  const std::string payload = reply.Encode();
+  for (size_t cut = 0; cut + 1 < payload.size(); cut += 7) {
+    (void)StatsReply::Decode(Slice(payload.data(), cut));
+  }
 }
 
 TEST(ProtocolTest, ErrorReplyCarriesStatus) {
@@ -589,7 +654,7 @@ TEST_F(ServeDaemonTest, StopIsBoundedWithClientsMidStream) {
 
 TEST_F(ServeDaemonTest, StatsSurviveStreamChurn) {
   // Regression shape for a use-after-free: BuildStats snapshots stream
-  // shared_ptrs under streams_mu_, then reads pipeline->io_stats() after
+  // shared_ptrs under streams_mu_, then reads pipeline->io_metrics() after
   // dropping the lock — racing another connection's teardown. The fix
   // keeps the pipeline alive until the last Stream reference drops;
   // daemon-wide Stats hammered against open/close/disconnect churn lets
@@ -916,6 +981,68 @@ TEST_F(ServeDaemonTest, ShmPlaneDeliversDecodedBatches) {
   // plane would have moved it at least twice.
   EXPECT_GT(stats.streams[0].bytes_copied, 0u);
   client->CloseStream(stream.stream_id).MoveValue();
+}
+
+TEST_F(ServeDaemonTest, StatsRoundTripEveryStreamMetric) {
+  // A decoded stream on the shm plane and a compressed stream: GetStats
+  // must name every metric a stream registers, for both.
+  auto client = PcrClient::Connect(Socket(), "stats-names").MoveValue();
+  OpenStreamRequest shm_open;
+  shm_open.dataset_dir = dataset_dir_;
+  shm_open.max_epochs = 1;
+  shm_open.shuffle = false;
+  shm_open.shm_plane = true;
+  auto shm_stream = client->OpenStream(shm_open).MoveValue();
+  ASSERT_GT(shm_stream.shm_slots, 0u) << "daemon did not grant the shm plane";
+  OpenStreamRequest jpeg_open = shm_open;
+  jpeg_open.shm_plane = false;
+  jpeg_open.decode = false;
+  auto jpeg_stream = client->OpenStream(jpeg_open).MoveValue();
+  for (const uint64_t id : {shm_stream.stream_id, jpeg_stream.stream_id}) {
+    for (;;) {
+      ASSERT_TRUE(client->SendNextBatchRequest(id).ok());
+      auto batch = client->ReceiveServedBatch(id);
+      ASSERT_TRUE(batch.ok()) << batch.status();
+      if (batch->end_of_stream) break;
+    }
+  }
+
+  const std::vector<MetricEntry> registered = RegisteredStreamMetrics();
+  for (const uint64_t id : {shm_stream.stream_id, jpeg_stream.stream_id}) {
+    auto stats = client->GetStats(id).MoveValue();
+    ASSERT_EQ(stats.streams.size(), 1u);
+    const StreamStats& s = stats.streams[0];
+    EXPECT_EQ(s.stream_id, id);
+    EXPECT_EQ(s.client_name, "stats-names");
+    for (const MetricEntry& want : registered) {
+      const MetricEntry* got = FindMetric(s.entries, want.name);
+      ASSERT_NE(got, nullptr) << "stream " << id << " lacks " << want.name;
+      EXPECT_EQ(got->kind, want.kind) << want.name;
+    }
+    for (const char* name : {"active_streams", "max_streams",
+                             "decode_cache.bytes_in_use",
+                             "decode_cache.capacity_bytes",
+                             "decode_cache.hits", "decode_cache.misses"}) {
+      EXPECT_NE(FindMetric(stats.entries, name), nullptr) << name;
+    }
+    // Four record batches plus the end-of-stream reply, each timed once.
+    EXPECT_EQ(s.served_batches, 5);
+    EXPECT_EQ(s.served_images, 16);
+    EXPECT_EQ(FindMetric(s.entries, "batch_sec.count")->value, 5);
+    EXPECT_EQ(FindMetric(s.entries, "queue_wait_sec.count")->value, 5);
+    EXPECT_GT(s.batch_p99_sec, 0.0);
+    EXPECT_GE(s.batch_p99_sec, s.batch_p50_sec);
+    EXPECT_GT(s.bytes_copied, 0u);
+  }
+  auto shm_stats = client->GetStats(shm_stream.stream_id).MoveValue();
+  EXPECT_GT(shm_stats.streams[0].shm_batches, 0);
+  auto jpeg_stats = client->GetStats(jpeg_stream.stream_id).MoveValue();
+  EXPECT_EQ(jpeg_stats.streams[0].shm_batches, 0);
+  // Compressed streams bypass the decode cache: every record is fetched.
+  EXPECT_EQ(FindMetric(jpeg_stats.streams[0].entries, "io.items")->value, 4);
+  EXPECT_EQ(jpeg_stats.streams[0].cache_hits, 0);
+  client->CloseStream(shm_stream.stream_id).MoveValue();
+  client->CloseStream(jpeg_stream.stream_id).MoveValue();
 }
 
 TEST_F(ServeDaemonTest, ShmCompatReceiveBatchStillDeepCopies) {

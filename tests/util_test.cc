@@ -1,13 +1,17 @@
 // Unit tests for the util substrate: Status/Result, Slice, Rng, clocks,
-// queues, thread pool, stats, CRC32C, string helpers.
+// queues, thread pool, stats, metrics, CRC32C, string helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <thread>
+#include <vector>
 
 #include "util/bounded_queue.h"
 #include "util/clock.h"
 #include "util/crc32c.h"
+#include "util/metrics.h"
 #include "util/random.h"
 #include "util/result.h"
 #include "util/slice.h"
@@ -336,6 +340,147 @@ TEST(Log2Histogram, BucketsByPowerOfTwo) {
   double total = 0;
   for (const auto& [lo, p] : rows) total += p;
   EXPECT_NEAR(total, 1.0, 1e-12);
+}
+
+// ------------------------------------------------------------- Metrics
+
+TEST(Histogram, PercentilesMatchSampleSetWithinBucketError) {
+  // Seeded log-normal latencies around 200 us, recorded in nanoseconds.
+  Rng rng(20211);
+  Histogram h;
+  SampleSet exact;
+  int64_t sum = 0;
+  constexpr int kSamples = 100000;
+  for (int i = 0; i < kSamples; ++i) {
+    const int64_t v =
+        static_cast<int64_t>(rng.NextLogNormal(std::log(200e3), 1.0));
+    h.Record(v);
+    exact.Add(static_cast<double>(v));
+    sum += v;
+  }
+  EXPECT_EQ(h.count(), kSamples);
+  EXPECT_DOUBLE_EQ(h.Mean(), static_cast<double>(sum) / kSamples);
+  std::vector<double> sorted = exact.samples();
+  std::sort(sorted.begin(), sorted.end());
+  // The stated bound: a bucket's midpoint is within 1/32 of every value in
+  // it, so a percentile lands within 1/32 of the order statistics that the
+  // interpolated SampleSet percentile lies between.
+  constexpr double kBucketError = 1.0 / 32;
+  for (const double p : {0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9,
+                         100.0}) {
+    const double rank = p / 100.0 * (kSamples - 1);
+    const double lo = sorted[static_cast<size_t>(rank)];
+    const double hi =
+        sorted[std::min<size_t>(static_cast<size_t>(rank) + 1, kSamples - 1)];
+    const double got = h.Percentile(p);
+    EXPECT_GE(got, lo * (1 - kBucketError)) << "p" << p;
+    EXPECT_LE(got, hi * (1 + kBucketError)) << "p" << p;
+    EXPECT_NEAR(got, exact.Percentile(p),
+                exact.Percentile(p) * kBucketError + (hi - lo))
+        << "p" << p;
+  }
+}
+
+TEST(Histogram, SmallValuesAreExactAndEmptyIsZero) {
+  Histogram h;
+  EXPECT_EQ(h.count(), 0);
+  EXPECT_EQ(h.Percentile(50), 0.0);
+  EXPECT_EQ(h.Mean(), 0.0);
+  for (int v = 0; v < 16; ++v) h.Record(v);
+  h.Record(-5);  // Counts as 0.
+  EXPECT_EQ(h.count(), 17);
+  EXPECT_EQ(h.Percentile(0), 0.0);
+  EXPECT_EQ(h.Percentile(100), 15.0);
+  EXPECT_EQ(h.Percentile(50), 7.0);
+  Histogram huge;
+  huge.Record(int64_t{1} << 62);  // Past the top bucket: clamps, no crash.
+  EXPECT_GT(huge.Percentile(50), 1e13);
+}
+
+TEST(Histogram, MergeFromAddsEverySample) {
+  Histogram a, b, both;
+  for (int i = 1; i <= 1000; ++i) {
+    a.Record(i * 1000);
+    both.Record(i * 1000);
+  }
+  for (int i = 1; i <= 3000; ++i) {
+    b.Record(i * 7);
+    both.Record(i * 7);
+  }
+  a.MergeFrom(b);
+  EXPECT_EQ(a.count(), both.count());
+  EXPECT_DOUBLE_EQ(a.Mean(), both.Mean());
+  for (const double p : {1.0, 50.0, 99.0}) {
+    EXPECT_EQ(a.Percentile(p), both.Percentile(p)) << "p" << p;
+  }
+}
+
+TEST(MetricSet, SnapshotNamesKindsAndScalesInOrder) {
+  MetricSet set;
+  Counter& bytes = set.AddCounter("bytes");
+  Counter& busy = set.AddCounter("busy_seconds", 1e-9);
+  Histogram& wait = set.AddHistogram("wait_sec", 1e-9);
+  bytes.Add(4096);
+  busy.Add(2'500'000'000);
+  wait.Record(3'000'000);
+  const std::vector<MetricEntry> entries = set.Snapshot("io.");
+  ASSERT_EQ(entries.size(), 6u);
+  const std::vector<std::string> names = {
+      "io.bytes",          "io.busy_seconds",  "io.wait_sec.count",
+      "io.wait_sec.mean", "io.wait_sec.p50", "io.wait_sec.p99"};
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(entries[i].name, names[i]);
+  }
+  EXPECT_EQ(entries[0].kind, MetricKind::kCounter);
+  EXPECT_EQ(entries[0].value, 4096);
+  EXPECT_DOUBLE_EQ(entries[1].value, 2.5);
+  EXPECT_EQ(entries[2].kind, MetricKind::kHistogram);
+  EXPECT_EQ(entries[2].value, 1);
+  EXPECT_DOUBLE_EQ(entries[3].value, 3e-3);
+  EXPECT_NEAR(entries[4].value, 3e-3, 3e-3 / 32);
+  EXPECT_EQ(FindMetric(entries, "io.bytes"), &entries[0]);
+  EXPECT_EQ(FindMetric(entries, "bytes"), nullptr);
+}
+
+TEST(MetricSet, ConcurrentRecordAndSnapshot) {
+  // Writers record while a reader snapshots: counters never run backwards,
+  // and once the writers join every sample is accounted for.
+  MetricSet set;
+  Counter& items = set.AddCounter("items");
+  Histogram& latency = set.AddHistogram("latency");
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 20000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    double last_items = 0, last_count = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const std::vector<MetricEntry> entries = set.Snapshot();
+      const double now_items = FindMetric(entries, "items")->value;
+      const double now_count = FindMetric(entries, "latency.count")->value;
+      EXPECT_GE(now_items, last_items);
+      EXPECT_GE(now_count, last_count);
+      EXPECT_LE(now_count, kWriters * kPerWriter);
+      last_items = now_items;
+      last_count = now_count;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        items.Add();
+        latency.Record(w * 1000 + i % 1000);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  const std::vector<MetricEntry> entries = set.Snapshot();
+  EXPECT_EQ(FindMetric(entries, "items")->value, kWriters * kPerWriter);
+  EXPECT_EQ(FindMetric(entries, "latency.count")->value,
+            kWriters * kPerWriter);
+  EXPECT_NEAR(FindMetric(entries, "latency.mean")->value, 1999.5, 1e-9);
 }
 
 TEST(FitLinear, RecoversLine) {
